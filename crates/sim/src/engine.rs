@@ -11,21 +11,51 @@
 //! * dispatch limited by ROB, load/store queues, physical registers, and
 //!   the in-flight branch cap;
 //! * out-of-order issue limited by issue width, per-family functional-unit
-//!   throughput, and load/store ports, with wakeup driven by the trace's
-//!   producer–consumer dependency distances;
+//!   throughput, and load/store ports, selecting oldest-first;
 //! * in-order commit limited by commit width, with stores draining to the
 //!   memory hierarchy at commit time.
+//!
+//! The issue stage is wakeup-driven rather than a scan of the ROB. At
+//! dispatch each operand either links the instruction into its producer's
+//! consumer list (producer not yet issued) or folds the producer's known
+//! completion cycle into the instruction's ready time. When a producer
+//! issues it walks its consumer list; an instruction with no outstanding
+//! operands enters a min-heap keyed by `(ready_time, seq)`, and each cycle
+//! the heap releases every instruction whose operands are complete into
+//! the age-ordered ready queue of its issue group. Select then takes the
+//! oldest head among the groups that still have throughput, until the
+//! issue width is reached — the same instructions, in the same order, as
+//! an oldest-first walk of the whole ROB. The idle-cycle skip reads the
+//! next event off the heap and the ROB head instead of scanning.
 
 use crate::branch::{Btb, TournamentPredictor};
-use crate::config::{FuThroughput, SimConfig};
+use crate::config::SimConfig;
 use crate::memory::MemoryHierarchy;
 use crate::result::SimResult;
 use archpredict_workloads::{Instruction, OpClass};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Completion-time ring size; must exceed ROB size + maximum dependency
 /// distance by a comfortable margin.
 const RING: usize = 8192;
+
+/// End of a consumer list.
+const NO_LINK: u32 = u32::MAX;
+
+/// Issue groups: op families that share one per-cycle throughput limit
+/// (integer ALU and branches, multiply, FP, load ports, store ports).
+const GROUPS: usize = 5;
+
+fn issue_group(op: OpClass) -> usize {
+    match op {
+        OpClass::IntAlu | OpClass::Branch => 0,
+        OpClass::IntMul => 1,
+        OpClass::FpAlu | OpClass::FpMul => 2,
+        OpClass::Load => 3,
+        OpClass::Store => 4,
+    }
+}
 
 /// Execution latencies (cycles) by op family; loads add memory time.
 const LAT_INT_ALU: u64 = 1;
@@ -57,17 +87,31 @@ struct RobEntry {
     seq: u64,
     op: OpClass,
     addr: u64,
-    dep1: u64, // producer sequence numbers; u64::MAX = none
-    dep2: u64,
-    issued: bool,
-    complete: u64,
     mispredicted: bool,
+    /// Completion cycle; `u64::MAX` until issued.
+    complete: u64,
+    /// Latest completion cycle among the operands known so far.
+    ready_time: u64,
+    /// Operands whose producer has not issued yet.
+    waiting: u8,
+    /// Next link of each operand in its producer's consumer list.
+    next_link: [u32; 2],
 }
+
+const EMPTY_ENTRY: RobEntry = RobEntry {
+    seq: 0,
+    op: OpClass::IntAlu,
+    addr: 0,
+    mispredicted: false,
+    complete: u64::MAX,
+    ready_time: 0,
+    waiting: 0,
+    next_link: [NO_LINK; 2],
+};
 
 #[derive(Debug)]
 pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     cfg: SimConfig,
-    fu: FuThroughput,
     mem: MemoryHierarchy,
     predictor: TournamentPredictor,
     btb: Btb,
@@ -75,9 +119,25 @@ pub(crate) struct Engine<I: Iterator<Item = Instruction>> {
     pending: Option<Instruction>,
     trace_done: bool,
 
-    rob: VecDeque<RobEntry>,
+    /// Reorder buffer: a power-of-two ring indexed by `seq & rob_mask`
+    /// holding sequence numbers `rob_head..seq`.
+    rob: Vec<RobEntry>,
+    rob_mask: u64,
+    rob_head: u64,
     fetch_q: VecDeque<(Instruction, bool)>, // (instr, mispredicted)
+    /// Completion cycle by `seq % RING`; `u64::MAX` while in flight and
+    /// unissued.
     complete_at: Vec<u64>,
+    /// Head of each producer's consumer list, by `seq % RING`. A link is
+    /// `rob slot << 1 | operand`.
+    consumers: Vec<u32>,
+    /// Instructions with every operand's producer issued, keyed by
+    /// `(ready_time, seq)`.
+    wakeups: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Per issue group, ready instructions by age.
+    ready: [BinaryHeap<Reverse<u64>>; GROUPS],
+    /// Per issue group, instructions issued per cycle.
+    group_limit: [u32; GROUPS],
 
     int_regs_free: u32,
     fp_regs_free: u32,
@@ -124,17 +184,24 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     /// caches and predictors without being counted in the result.
     pub(crate) fn with_warmup(cfg: &SimConfig, trace: I, warmup: u64, measured: u64) -> Self {
         let mem = MemoryHierarchy::new(cfg);
+        let fu = cfg.fu_throughput();
+        let rob_slots = (cfg.rob_size as usize).next_power_of_two();
         Self {
-            fu: cfg.fu_throughput(),
             predictor: TournamentPredictor::new(cfg.predictor_entries),
             btb: Btb::new(cfg.btb_sets),
             mem,
             trace,
             pending: None,
             trace_done: false,
-            rob: VecDeque::with_capacity(cfg.rob_size as usize),
+            rob: vec![EMPTY_ENTRY; rob_slots],
+            rob_mask: rob_slots as u64 - 1,
+            rob_head: 0,
             fetch_q: VecDeque::with_capacity(2 * cfg.width as usize + 8),
             complete_at: vec![0; RING],
+            consumers: vec![NO_LINK; RING],
+            wakeups: BinaryHeap::with_capacity(rob_slots),
+            ready: std::array::from_fn(|_| BinaryHeap::with_capacity(rob_slots)),
+            group_limit: [fu.int_alu, fu.mul, fu.fp, cfg.load_ports, cfg.store_ports],
             int_regs_free: cfg.int_regs,
             fp_regs_free: cfg.fp_regs,
             loads_free: cfg.lsq_loads,
@@ -166,15 +233,17 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         while self.committed < self.target {
             self.cycle += 1;
             let committed = self.commit();
-            let (issued, blocked) = self.issue();
+            let issued = self.issue();
             let dispatched = self.dispatch();
             let q_before = self.fetch_q.len();
             self.fetch();
             let fetched = self.fetch_q.len() != q_before;
-            // Idle-cycle skip: when nothing moved and nothing is ready, jump
-            // to the next known event (a completion or a fetch redirect).
-            // Stall counters are advanced as if the cycles had been stepped.
-            if committed == 0 && issued == 0 && dispatched == 0 && !fetched && !blocked {
+            // Idle-cycle skip: when nothing moved, jump to the next known
+            // event (a completion, an operand becoming ready, or a fetch
+            // redirect); a ready instruction still waiting for throughput
+            // makes that the next cycle. Stall counters are advanced as if
+            // the cycles had been stepped.
+            if committed == 0 && issued == 0 && dispatched == 0 && !fetched {
                 if let Some(next) = self.next_event() {
                     if next > self.cycle + 1 {
                         let skipped = next - 1 - self.cycle;
@@ -199,7 +268,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
                     mem: self.mem.stats(),
                 });
             }
-            if self.trace_exhausted() && self.rob.is_empty() && self.fetch_q.is_empty() {
+            if self.trace_exhausted() && self.rob_head == self.seq && self.fetch_q.is_empty() {
                 break;
             }
             // Forward-progress watchdog: a structural deadlock is a
@@ -256,11 +325,14 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             if self.committed >= self.target {
                 break;
             }
-            let Some(front) = self.rob.front() else { break };
-            if !front.issued || front.complete > self.cycle {
+            if self.rob_head == self.seq {
                 break;
             }
-            let entry = self.rob.pop_front().expect("checked front");
+            let entry = self.rob[(self.rob_head & self.rob_mask) as usize];
+            if entry.complete > self.cycle {
+                break;
+            }
+            self.rob_head += 1;
             match entry.op {
                 OpClass::Store => {
                     self.mem.store(entry.addr, self.cycle);
@@ -286,132 +358,93 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
         committed
     }
 
-    fn dep_ready(&self, dep: u64) -> bool {
-        dep == u64::MAX || self.complete_at[(dep % RING as u64) as usize] <= self.cycle
-    }
-
-    /// Returns `(issued, ready_but_blocked)`.
-    fn issue(&mut self) -> (u32, bool) {
-        let mut issued = 0u32;
-        let mut blocked = false;
-        let mut int_used = 0u32;
-        let mut fp_used = 0u32;
-        let mut mul_used = 0u32;
-        let mut loads_used = 0u32;
-        let mut stores_used = 0u32;
+    /// Issues up to `width` ready instructions, oldest first; returns how
+    /// many.
+    fn issue(&mut self) -> u32 {
         let cycle = self.cycle;
-        for i in 0..self.rob.len() {
-            if issued >= self.cfg.width {
-                blocked = true;
+        while let Some(&Reverse((ready_time, seq))) = self.wakeups.peek() {
+            if ready_time > cycle {
                 break;
             }
-            let e = self.rob[i];
-            if e.issued || !self.dep_ready(e.dep1) || !self.dep_ready(e.dep2) {
-                continue;
-            }
-            let complete = match e.op {
-                OpClass::IntAlu => {
-                    if int_used >= self.fu.int_alu {
-                        blocked = true;
-                        continue;
-                    }
-                    int_used += 1;
-                    cycle + LAT_INT_ALU
-                }
-                OpClass::IntMul => {
-                    if mul_used >= self.fu.mul {
-                        blocked = true;
-                        continue;
-                    }
-                    mul_used += 1;
-                    cycle + LAT_INT_MUL
-                }
-                OpClass::FpAlu => {
-                    if fp_used >= self.fu.fp {
-                        blocked = true;
-                        continue;
-                    }
-                    fp_used += 1;
-                    cycle + LAT_FP_ALU
-                }
-                OpClass::FpMul => {
-                    if fp_used >= self.fu.fp {
-                        blocked = true;
-                        continue;
-                    }
-                    fp_used += 1;
-                    cycle + LAT_FP_MUL
-                }
-                OpClass::Load => {
-                    if loads_used >= self.cfg.load_ports {
-                        blocked = true;
-                        continue;
-                    }
-                    loads_used += 1;
-                    self.mem.load(e.addr, cycle + LAT_AGEN)
-                }
-                OpClass::Store => {
-                    if stores_used >= self.cfg.store_ports {
-                        blocked = true;
-                        continue;
-                    }
-                    stores_used += 1;
-                    cycle + LAT_AGEN
-                }
-                OpClass::Branch => {
-                    if int_used >= self.fu.int_alu {
-                        blocked = true;
-                        continue;
-                    }
-                    int_used += 1;
-                    cycle + LAT_BRANCH
-                }
-            };
-            let entry = &mut self.rob[i];
-            entry.issued = true;
-            entry.complete = complete;
-            self.complete_at[(entry.seq % RING as u64) as usize] = complete;
-            if entry.mispredicted && self.stalled_on_branch == Some(entry.seq) {
-                // Redirect the front end when the branch resolves, plus the
-                // frequency-derived minimum pipeline-refill penalty.
-                let penalty = self.mem.timing().mispredict_penalty;
-                self.fetch_stall_until = complete + penalty;
-                self.stall_cause = StallCause::Branch;
-                self.stalled_on_branch = None;
-            }
-            issued += 1;
+            self.wakeups.pop();
+            let op = self.rob[(seq & self.rob_mask) as usize].op;
+            self.ready[issue_group(op)].push(Reverse(seq));
         }
-        (issued, blocked)
+        let mut used = [0u32; GROUPS];
+        let mut issued = 0u32;
+        while issued < self.cfg.width {
+            // Oldest ready instruction among the groups with throughput left.
+            let mut oldest: Option<(u64, usize)> = None;
+            for (g, queue) in self.ready.iter().enumerate() {
+                if used[g] >= self.group_limit[g] {
+                    continue;
+                }
+                if let Some(&Reverse(seq)) = queue.peek() {
+                    if oldest.is_none_or(|(o, _)| seq < o) {
+                        oldest = Some((seq, g));
+                    }
+                }
+            }
+            let Some((seq, g)) = oldest else { break };
+            self.ready[g].pop();
+            used[g] += 1;
+            issued += 1;
+            self.issue_one(seq);
+        }
+        issued
+    }
+
+    /// Issues `seq` this cycle and wakes its consumers.
+    fn issue_one(&mut self, seq: u64) {
+        let cycle = self.cycle;
+        let slot = (seq & self.rob_mask) as usize;
+        let entry = self.rob[slot];
+        let complete = match entry.op {
+            OpClass::IntAlu => cycle + LAT_INT_ALU,
+            OpClass::IntMul => cycle + LAT_INT_MUL,
+            OpClass::FpAlu => cycle + LAT_FP_ALU,
+            OpClass::FpMul => cycle + LAT_FP_MUL,
+            OpClass::Load => self.mem.load(entry.addr, cycle + LAT_AGEN),
+            OpClass::Store => cycle + LAT_AGEN,
+            OpClass::Branch => cycle + LAT_BRANCH,
+        };
+        self.rob[slot].complete = complete;
+        let ring = (seq % RING as u64) as usize;
+        self.complete_at[ring] = complete;
+        if entry.mispredicted && self.stalled_on_branch == Some(seq) {
+            // Redirect the front end when the branch resolves, plus the
+            // frequency-derived minimum pipeline-refill penalty.
+            let penalty = self.mem.timing().mispredict_penalty;
+            self.fetch_stall_until = complete + penalty;
+            self.stall_cause = StallCause::Branch;
+            self.stalled_on_branch = None;
+        }
+        let mut link = std::mem::replace(&mut self.consumers[ring], NO_LINK);
+        while link != NO_LINK {
+            let consumer = &mut self.rob[(link >> 1) as usize];
+            link = consumer.next_link[(link & 1) as usize];
+            consumer.ready_time = consumer.ready_time.max(complete);
+            consumer.waiting -= 1;
+            if consumer.waiting == 0 {
+                self.wakeups
+                    .push(Reverse((consumer.ready_time, consumer.seq)));
+            }
+        }
     }
 
     /// Earliest future cycle at which anything can change, used to skip
     /// idle cycles. `None` when no bound is known.
     fn next_event(&self) -> Option<u64> {
         let mut t = u64::MAX;
-        if let Some(front) = self.rob.front() {
-            if front.issued {
-                t = t.min(front.complete);
-            }
+        if self.rob_head < self.seq {
+            // `u64::MAX` while the head is unissued.
+            t = self.rob[(self.rob_head & self.rob_mask) as usize].complete;
         }
-        for e in &self.rob {
-            if e.issued {
-                continue;
-            }
-            let dep_time = |dep: u64| -> Option<u64> {
-                if dep == u64::MAX {
-                    Some(0)
-                } else {
-                    let c = self.complete_at[(dep % RING as u64) as usize];
-                    if c == u64::MAX {
-                        None // producer not yet issued: unbounded here
-                    } else {
-                        Some(c)
-                    }
-                }
-            };
-            if let (Some(a), Some(b)) = (dep_time(e.dep1), dep_time(e.dep2)) {
-                t = t.min(a.max(b).max(self.cycle + 1));
-            }
+        if let Some(&Reverse((ready_time, _))) = self.wakeups.peek() {
+            t = t.min(ready_time.max(self.cycle + 1));
+        }
+        if self.ready.iter().any(|q| !q.is_empty()) {
+            t = t.min(self.cycle + 1);
         }
         if self.stalled_on_branch.is_none() && self.cycle < self.fetch_stall_until {
             t = t.min(self.fetch_stall_until);
@@ -426,7 +459,7 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
     fn dispatch(&mut self) -> u32 {
         let mut dispatched = 0;
         for _ in 0..self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_size as usize {
+            if self.seq - self.rob_head >= self.cfg.rob_size as u64 {
                 break;
             }
             let Some(&(instr, mispredicted)) = self.fetch_q.front() else {
@@ -469,24 +502,37 @@ impl<I: Iterator<Item = Instruction>> Engine<I> {
             self.fetch_q.pop_front();
             let seq = self.seq;
             self.seq += 1;
-            self.complete_at[(seq % RING as u64) as usize] = u64::MAX;
-            let dep_seq = |d: u32| {
-                if d == 0 {
-                    u64::MAX
-                } else {
-                    seq.checked_sub(d as u64).unwrap_or(u64::MAX)
-                }
-            };
-            self.rob.push_back(RobEntry {
+            let ring = (seq % RING as u64) as usize;
+            self.complete_at[ring] = u64::MAX;
+            self.consumers[ring] = NO_LINK;
+            let slot = seq & self.rob_mask;
+            let mut entry = RobEntry {
                 seq,
                 op: instr.op,
                 addr: instr.addr,
-                dep1: dep_seq(instr.dep1),
-                dep2: dep_seq(instr.dep2),
-                issued: false,
-                complete: u64::MAX,
                 mispredicted,
-            });
+                ..EMPTY_ENTRY
+            };
+            // Operand distances of zero, or reaching before seq 0, name no
+            // producer.
+            for (operand, dep) in [instr.dep1, instr.dep2].into_iter().enumerate() {
+                let Some(producer) = seq.checked_sub(dep as u64).filter(|_| dep != 0) else {
+                    continue;
+                };
+                let producer_ring = (producer % RING as u64) as usize;
+                match self.complete_at[producer_ring] {
+                    u64::MAX => {
+                        entry.next_link[operand] = self.consumers[producer_ring];
+                        self.consumers[producer_ring] = (slot << 1) as u32 | operand as u32;
+                        entry.waiting += 1;
+                    }
+                    complete => entry.ready_time = entry.ready_time.max(complete),
+                }
+            }
+            if entry.waiting == 0 {
+                self.wakeups.push(Reverse((entry.ready_time, seq)));
+            }
+            self.rob[slot as usize] = entry;
             dispatched += 1;
         }
         dispatched
@@ -751,6 +797,140 @@ mod tests {
             rb.ipc(),
             rf.ipc()
         );
+    }
+
+    /// Steps the engine one cycle at a time (no idle-cycle skip) until the
+    /// trace drains, returning the issue profile as runs of consecutive
+    /// cycles that issued the same nonzero count: `(first, last, issued)`.
+    fn issue_profile(cfg: &SimConfig, trace: &[Instruction]) -> Vec<(u64, u64, u32)> {
+        let n = trace.len() as u64;
+        let mut engine = Engine::new(cfg, trace.iter().copied(), n);
+        let mut runs: Vec<(u64, u64, u32)> = Vec::new();
+        while engine.committed < n {
+            engine.cycle += 1;
+            engine.commit();
+            let issued = engine.issue();
+            engine.dispatch();
+            engine.fetch();
+            let cycle = engine.cycle;
+            match runs.last_mut() {
+                _ if issued == 0 => {}
+                Some(run) if run.1 + 1 == cycle && run.2 == issued => run.1 = cycle,
+                _ => runs.push((cycle, cycle, issued)),
+            }
+        }
+        runs
+    }
+
+    /// Every `SimResult` field, in declaration order.
+    fn fields(r: &SimResult) -> [u64; 14] {
+        [
+            r.instructions,
+            r.cycles,
+            r.l1i_misses,
+            r.l1d_misses,
+            r.l2_misses,
+            r.branches,
+            r.mispredicts,
+            r.btb_misses,
+            r.l2_bus_busy,
+            r.fsb_busy,
+            r.fetch_stall_cycles,
+            r.icache_stall_cycles,
+            r.branch_stall_cycles,
+            r.btb_stall_cycles,
+        ]
+    }
+
+    /// Handcrafted trace instruction: every one at the same PC (a single
+    /// I-cache miss), every load or store to the same data block.
+    fn op(op: OpClass, dep1: u32, dep2: u32) -> Instruction {
+        Instruction {
+            addr: if op.is_memory() { 0x1000_0000 } else { 0 },
+            ..Instruction::compute(op, 0x40_0000, dep1, dep2, 0)
+        }
+    }
+
+    /// Checks the issue profile and the full result against values
+    /// recorded from the engine that scanned the whole ROB each cycle.
+    fn check(
+        cfg: &SimConfig,
+        trace: &[Instruction],
+        profile: &[(u64, u64, u32)],
+        result: [u64; 14],
+    ) {
+        assert_eq!(issue_profile(cfg, trace), profile, "issue profile");
+        let r = simulate(cfg, trace.iter().copied(), trace.len() as u64);
+        assert_eq!(fields(&r), result, "SimResult fields");
+    }
+
+    #[test]
+    fn load_blocked_on_ports_does_not_stop_younger_int_alu() {
+        // One load port: each cycle issues one of the three ready loads
+        // plus the younger IntAlu behind them, then drains the loads.
+        let cfg = SimConfig {
+            load_ports: 1,
+            ..SimConfig::default()
+        };
+        let group = [OpClass::Load, OpClass::Load, OpClass::Load, OpClass::IntAlu];
+        let trace: Vec<_> = (0..8).flat_map(|_| group.map(|o| op(o, 0, 0))).collect();
+        let result = [32, 465, 0, 1, 1, 0, 0, 0, 1, 40, 0, 0, 0, 0];
+        check(&cfg, &trace, &[(457, 464, 2), (465, 480, 1)], result);
+    }
+
+    #[test]
+    fn issue_width_caps_ready_instructions() {
+        let cfg = SimConfig {
+            width: 2,
+            functional_units: 8,
+            ..SimConfig::default()
+        };
+        let trace = vec![op(OpClass::IntAlu, 0, 0); 16];
+        let result = [16, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        check(&cfg, &trace, &[(457, 464, 2)], result);
+    }
+
+    #[test]
+    fn both_operands_on_one_producer() {
+        // A serial IntMul chain (8 cycles each) whose consumers name their
+        // producer through both operands.
+        let cfg = SimConfig::default();
+        let trace = vec![op(OpClass::IntMul, 1, 1); 6];
+        let profile: Vec<_> = (0..6).map(|i| (457 + 8 * i, 457 + 8 * i, 1)).collect();
+        let result = [6, 51, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        check(&cfg, &trace, &profile, result);
+    }
+
+    #[test]
+    fn dependency_before_the_first_instruction_is_no_dependency() {
+        // seq 3 waits on seq 0 (dep2 = 3), seq 4 on seq 2, seq 5 on seq 4;
+        // every other operand reaches before seq 0.
+        let cfg = SimConfig::default();
+        let mut trace = vec![op(OpClass::IntAlu, 5, 3); 4];
+        trace.extend([op(OpClass::FpMul, 2, 7), op(OpClass::IntAlu, 1, 6)]);
+        let result = [6, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        check(
+            &cfg,
+            &trace,
+            &[(457, 457, 3), (458, 458, 2), (464, 464, 1)],
+            result,
+        );
+    }
+
+    #[test]
+    fn producer_committed_before_consumer_dispatches() {
+        // With an 8-entry ROB, seq 0 has long committed when seqs 31 and
+        // 32 name it as a producer.
+        let cfg = SimConfig {
+            rob_size: 8,
+            ..SimConfig::default()
+        };
+        let mut trace = vec![op(OpClass::IntMul, 0, 0)];
+        trace.extend(vec![op(OpClass::IntAlu, 0, 0); 30]);
+        trace.extend([op(OpClass::IntAlu, 31, 1), op(OpClass::Store, 32, 1)]);
+        let profile = [(457, 458, 4), (466, 470, 4), (471, 471, 3), (472, 473, 1)];
+        let result = [33, 20, 0, 1, 1, 0, 0, 0, 1, 40, 0, 0, 0, 0];
+        check(&cfg, &trace, &profile, result);
     }
 
     #[test]

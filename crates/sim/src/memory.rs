@@ -10,6 +10,32 @@ use crate::cache::Cache;
 use crate::config::{DerivedTiming, SimConfig, WritePolicy};
 use crate::dram::Sdram;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for block addresses: one multiply and a fold, in place of
+/// SipHash on the per-load MSHR lookup. Blocks are trusted simulator
+/// state, so flooding resistance buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type BlockMap = HashMap<u64, u64, BuildHasherDefault<BlockHasher>>;
 
 /// Statistics of one simulation's memory system activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,7 +79,7 @@ pub struct MemoryHierarchy {
     /// Next cycle the front-side bus is free.
     fsb_free: u64,
     /// Outstanding L1D misses: block -> fill-complete cycle (MSHR merge).
-    outstanding: HashMap<u64, u64>,
+    outstanding: BlockMap,
     stats: MemoryStats,
 }
 
@@ -81,7 +107,7 @@ impl MemoryHierarchy {
             prefetch_nextline: config.prefetch_nextline,
             l2_bus_free: 0,
             fsb_free: 0,
-            outstanding: HashMap::new(),
+            outstanding: BlockMap::default(),
             stats: MemoryStats::default(),
         }
     }

@@ -8,6 +8,10 @@
 //!   (trace generation, weight initialization, sampling). It is fast, has a
 //!   256-bit state, and passes stringent statistical test batteries.
 //!
+//! For hot loops that sample one fixed distribution many times,
+//! [`WeightedIndex`] and [`Geometric`] hold its precomputed constants and
+//! draw exactly what the one-shot [`Xoshiro256`] methods draw.
+//!
 //! Both are implemented from the public-domain reference algorithms by
 //! Blackman & Vigna so that streams are reproducible across platforms and
 //! independent of any external crate's version churn.
@@ -192,12 +196,7 @@ impl Xoshiro256 {
     ///
     /// Panics if `p` is not in `(0, 1]`.
     pub fn next_geometric(&mut self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
-        if p >= 1.0 {
-            return 0;
-        }
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()) as u64
+        Geometric::new(p).sample(self)
     }
 
     /// Samples an index from a discrete distribution given by `weights`.
@@ -209,23 +208,92 @@ impl Xoshiro256 {
     /// Panics if `weights` is empty or the weights do not sum to a positive
     /// finite value.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "weights must sum to a positive finite value"
-        );
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
+        let total = weight_total(weights);
+        pick_weighted(weights, self.next_f64() * total)
+    }
+}
+
+fn weight_total(weights: &[f64]) -> f64 {
+    let total: f64 = weights.iter().sum();
+    assert!(
+        total > 0.0 && total.is_finite(),
+        "weights must sum to a positive finite value"
+    );
+    total
+}
+
+/// The index whose cumulative-weight interval holds `x` in `[0, total)`.
+fn pick_weighted(weights: &[f64], mut x: f64) -> usize {
+    for (i, &w) in weights.iter().enumerate() {
+        if x < w {
+            return i;
         }
-        // Floating-point slack: fall back to the last positive-weight entry.
-        weights
-            .iter()
-            .rposition(|&w| w > 0.0)
-            .expect("at least one positive weight")
+        x -= w;
+    }
+    // Floating-point slack: fall back to the last positive-weight entry.
+    weights
+        .iter()
+        .rposition(|&w| w > 0.0)
+        .expect("at least one positive weight")
+}
+
+/// A discrete distribution over indices with its weight total computed
+/// once: [`WeightedIndex::sample`] draws exactly what
+/// [`Xoshiro256::weighted_index`] draws for the same weights.
+#[derive(Debug, Clone)]
+pub struct WeightedIndex {
+    weights: Vec<f64>,
+    total: f64,
+}
+
+impl WeightedIndex {
+    /// Distribution proportional to `weights` (need not be normalized).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty or the weights do not sum to a positive
+    /// finite value.
+    pub fn new(weights: Vec<f64>) -> Self {
+        let total = weight_total(&weights);
+        Self { weights, total }
+    }
+
+    /// Draws one index from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Xoshiro256) -> usize {
+        pick_weighted(&self.weights, rng.next_f64() * self.total)
+    }
+}
+
+/// Geometric distribution (failures before the first success) with its
+/// `ln(1 - p)` computed once: [`Geometric::sample`] draws exactly what
+/// [`Xoshiro256::next_geometric`] draws, at one logarithm per sample
+/// instead of two.
+#[derive(Debug, Clone, Copy)]
+pub struct Geometric {
+    /// `ln(1 - p)`; `None` when `p == 1` (always zero failures, no draw).
+    ln_q: Option<f64>,
+}
+
+impl Geometric {
+    /// Success probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 1]`.
+    pub fn new(p: f64) -> Self {
+        assert!(p > 0.0 && p <= 1.0, "p must be in (0, 1]");
+        Self {
+            ln_q: (p < 1.0).then(|| (1.0 - p).ln()),
+        }
+    }
+
+    /// Draws one count from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Xoshiro256) -> u64 {
+        let Some(ln_q) = self.ln_q else { return 0 };
+        let u = rng.next_f64().max(f64::MIN_POSITIVE);
+        (u.ln() / ln_q) as u64
     }
 }
 
@@ -343,6 +411,20 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
+    }
+
+    #[test]
+    fn certain_geometric_consumes_no_draw() {
+        let mut a = Xoshiro256::seed_from(13);
+        let mut b = a;
+        assert_eq!(Geometric::new(1.0).sample(&mut a), 0);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must sum to a positive finite value")]
+    fn weighted_sampler_rejects_zero_total() {
+        WeightedIndex::new(vec![0.0, 0.0]);
     }
 
     #[test]

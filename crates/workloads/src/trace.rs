@@ -10,8 +10,7 @@
 
 use crate::instr::{Instruction, OpClass};
 use crate::profile::{AccessPattern, ProfileError, WorkloadProfile};
-use archpredict_stats::rng::{SplitMix64, Xoshiro256};
-use std::collections::HashMap;
+use archpredict_stats::rng::{Geometric, SplitMix64, WeightedIndex, Xoshiro256};
 
 /// Maximum dependency distance encoded in a trace (bounds simulator state).
 pub const MAX_DEP_DISTANCE: u32 = 64;
@@ -126,14 +125,15 @@ impl TraceGenerator {
         let variant = (interval % VARIANTS_PER_PHASE) as u64;
         let rng = Xoshiro256::seed_from(self.profile.seed)
             .derive(0x5EED_0000 ^ ((phase_idx as u64) << 8) ^ variant);
-        let mix_weights = [
+        let mix = WeightedIndex::new(vec![
             phase.mix.int_alu,
             phase.mix.int_mul,
             phase.mix.fp_alu,
             phase.mix.fp_mul,
             phase.mix.load,
             phase.mix.store,
-        ];
+        ]);
+        let regions = WeightedIndex::new(phase.memory.regions.iter().map(|r| r.weight).collect());
         let mut cursor_rng = rng.derive(17);
         let cursors = phase
             .memory
@@ -145,12 +145,14 @@ impl TraceGenerator {
             generator: self,
             phase_idx,
             rng,
-            mix_weights,
+            mix,
+            regions,
+            dep_distance: Geometric::new(1.0 / self.profile.mean_dep_distance.max(1.0)),
             bb: 0,
             block_left: 0,
             pending_branch: None,
             cursors,
-            loop_counters: HashMap::new(),
+            loop_counters: vec![0; phase.static_blocks as usize],
         }
     }
 
@@ -192,7 +194,12 @@ pub struct IntervalTrace<'a> {
     generator: &'a TraceGenerator,
     phase_idx: usize,
     rng: Xoshiro256,
-    mix_weights: [f64; 6],
+    /// Op-class mix of the phase, in [`OpClass::ALL`] order.
+    mix: WeightedIndex,
+    /// Access weights of the phase's memory regions.
+    regions: WeightedIndex,
+    /// Producer distance minus one.
+    dep_distance: Geometric,
     /// Current basic block (phase-local index).
     bb: u32,
     /// Non-branch instructions remaining in the current block.
@@ -201,8 +208,8 @@ pub struct IntervalTrace<'a> {
     pending_branch: Option<()>,
     /// Per-region streaming cursors.
     cursors: Vec<u64>,
-    /// Loop branch trip counters, keyed by phase-local block id.
-    loop_counters: HashMap<u32, u32>,
+    /// Loop branch trip counters, indexed by phase-local block id.
+    loop_counters: Vec<u32>,
 }
 
 impl IntervalTrace<'_> {
@@ -260,9 +267,7 @@ impl IntervalTrace<'_> {
     }
 
     fn sample_dep(&mut self) -> u32 {
-        let mean = self.generator.profile.mean_dep_distance;
-        let p = 1.0 / mean.max(1.0);
-        (1 + self.rng.next_geometric(p) as u32).min(MAX_DEP_DISTANCE)
+        (1 + self.dep_distance.sample(&mut self.rng) as u32).min(MAX_DEP_DISTANCE)
     }
 
     fn memory_address(&mut self, region_idx: usize) -> u64 {
@@ -296,17 +301,6 @@ impl IntervalTrace<'_> {
         }
     }
 
-    fn choose_region(&mut self) -> usize {
-        let weights: Vec<f64> = self
-            .phase()
-            .memory
-            .regions
-            .iter()
-            .map(|r| r.weight)
-            .collect();
-        self.rng.weighted_index(&weights)
-    }
-
     fn emit_branch(&mut self) -> Instruction {
         let bb = self.bb;
         let pc = self.block_pc(bb, 31); // terminating slot of the block
@@ -321,7 +315,7 @@ impl IntervalTrace<'_> {
                 }
             }
             BranchKind::Loop { period } => {
-                let counter = self.loop_counters.entry(bb).or_insert(0);
+                let counter = &mut self.loop_counters[bb as usize];
                 *counter += 1;
                 if *counter >= period {
                     *counter = 0;
@@ -384,7 +378,7 @@ impl Iterator for IntervalTrace<'_> {
         // Emit a body instruction.
         let offset = 30 - self.block_left.min(30);
         self.block_left -= 1;
-        let class_idx = self.rng.weighted_index(&self.mix_weights);
+        let class_idx = self.mix.sample(&mut self.rng);
         let op = OpClass::ALL[class_idx];
         let pc = self.block_pc(self.bb, offset);
         let dep1 = self.sample_dep();
@@ -395,7 +389,7 @@ impl Iterator for IntervalTrace<'_> {
         };
         let instr = match op {
             OpClass::Load | OpClass::Store => {
-                let region = self.choose_region();
+                let region = self.regions.sample(&mut self.rng);
                 let addr = self.memory_address(region);
                 Instruction {
                     op,

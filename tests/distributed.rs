@@ -14,7 +14,8 @@ use archpredict::distributed::{
 use archpredict::explorer::{Explorer, ExplorerConfig};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{
-    CachedEvaluator, Oracle, RetryingOracle, SimBudget, SimError, SimResult, SimStats,
+    CachedEvaluator, Oracle, PointEvaluator, RetryingOracle, SimBudget, SimError, SimResult,
+    SimStats, ENV_SIM_THREADS,
 };
 use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
@@ -412,10 +413,21 @@ fn sleepy_evaluator_sleeps_and_keeps_values() {
     let spec = sleepy_spec(30_000);
     let space = spec.space();
     let evaluator = spec.evaluator();
+    let indices = [5, 6];
+    // The batch fans out across the evaluator's own worker count, so the
+    // two sleeps take as many back-to-back waves as that fan-out needs.
+    let workers = evaluator
+        .parallelism()
+        .worker_count_with_env(indices.len(), ENV_SIM_THREADS);
+    let waves = indices.len().div_ceil(workers) as u32;
     let start = std::time::Instant::now();
     let mut stats = SimStats::default();
-    let results = evaluator.evaluate_batch(&space, &[5, 6], &mut stats);
-    assert!(start.elapsed() >= Duration::from_millis(50));
+    let results = evaluator.evaluate_batch(&space, &indices, &mut stats);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed >= Duration::from_millis(30) * waves,
+        "{waves} wave(s) of 30 ms sleeps took {elapsed:?}"
+    );
     assert_eq!(results[0], Ok(SleepyEvaluator::value_at(&space.point(5))));
     assert_eq!(results[1], Ok(SleepyEvaluator::value_at(&space.point(6))));
 }

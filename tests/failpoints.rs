@@ -118,16 +118,17 @@ fn commit_entry_crash_is_a_clean_miss_and_a_refit_heals_it() {
     let root = temp_dir("commit_entry");
     let registry = Registry::open(&root).expect("open registry");
     let spec = quick_spec(0xA11CE);
-    {
-        let _armed = arm(2, &[(FP_COMMIT_ENTRY, SiteSpec::once(FailAction::Error))]);
-        let err = registry
-            .get_or_fit_study(&spec)
-            .expect_err("commit dies between object and entry");
-        assert!(
-            err.to_string().contains(FP_COMMIT_ENTRY),
-            "error names the site: {err}"
-        );
-    }
+    let _armed = arm(2, &[(FP_COMMIT_ENTRY, SiteSpec::once(FailAction::Error))]);
+    let err = registry
+        .get_or_fit_study(&spec)
+        .expect_err("commit dies between object and entry");
+    assert!(
+        err.to_string().contains(FP_COMMIT_ENTRY),
+        "error names the site: {err}"
+    );
+    // Disarm, but hold the lock through the unarmed steps below so no
+    // other test's plan can reach them.
+    failpoint::clear();
     // Object landed, entry never did: readers see a clean miss, and the
     // orphaned object is unreferenced debris, not corruption.
     assert!(
@@ -157,16 +158,17 @@ fn commit_object_failure_leaves_nothing_durable() {
     let root = temp_dir("commit_object");
     let registry = Registry::open(&root).expect("open registry");
     let spec = quick_spec(0xB0B);
-    {
-        let _armed = arm(3, &[(FP_COMMIT_OBJECT, SiteSpec::once(FailAction::Error))]);
-        let err = registry
-            .get_or_fit_study(&spec)
-            .expect_err("commit dies before the object write");
-        assert!(
-            err.to_string().contains(FP_COMMIT_OBJECT),
-            "error names the site: {err}"
-        );
-    }
+    let _armed = arm(3, &[(FP_COMMIT_OBJECT, SiteSpec::once(FailAction::Error))]);
+    let err = registry
+        .get_or_fit_study(&spec)
+        .expect_err("commit dies before the object write");
+    assert!(
+        err.to_string().contains(FP_COMMIT_OBJECT),
+        "error names the site: {err}"
+    );
+    // Disarm, but hold the lock through the unarmed steps below so no
+    // other test's plan can reach them.
+    failpoint::clear();
     assert_eq!(listing(&root.join("entries")), Vec::<String>::new());
     assert_eq!(listing(&root.join("objects")), Vec::<String>::new());
 
