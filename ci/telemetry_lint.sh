@@ -15,8 +15,6 @@ cd "$(dirname "$0")/.."
 ALLOW=(
   # The telemetry subsystem itself: Counter's backing store.
   "crates/core/src/telemetry.rs"
-  # Deterministic failpoint engine: trigger bookkeeping, not stats.
-  "crates/core/src/failpoint.rs"
   # Temp-file name sequence (uniqueness nonce), never read as a stat.
   "crates/core/src/persist.rs"
   # Fit-collapse nonce for lease names, never read as a stat.

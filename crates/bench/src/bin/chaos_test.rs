@@ -30,7 +30,7 @@ use archpredict::campaign::CampaignConfig;
 use archpredict::distributed::{
     locate_worker_binary, ProcessPoolOracle, WorkerSpec, FP_WORKER_EVAL,
 };
-use archpredict::failpoint::{render_plan, FailAction, SiteSpec, ENV_FAILPOINTS};
+use archpredict::failpoint::{self, FailAction, Plan, SiteSpec};
 use archpredict::infer;
 use archpredict::persist::FP_WRITE_ATOMIC;
 use archpredict::registry::{Registry, StudyFitSpec, FP_COMMIT_ENTRY, FP_COMMIT_OBJECT};
@@ -44,7 +44,7 @@ use archpredict_stats::rng::Xoshiro256;
 use archpredict_workloads::Benchmark;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// No request is in flight longer than this before the harness declares
@@ -212,15 +212,12 @@ fn main() {
 
     // ---- Phase 2: daemon chaos rounds.
     let bin = ensure_served_binary();
-    let plan = render_plan(
-        seed,
-        &[
-            (FP_WRITE_ATOMIC, site(FailAction::Torn, 0.05, None)),
-            (FP_COMMIT_OBJECT, site(FailAction::Error, 0.10, Some(4))),
-            (FP_COMMIT_ENTRY, site(FailAction::Error, 0.10, Some(4))),
-            (FP_HANDLER, site(FailAction::Error, 0.02, None)),
-        ],
-    );
+    let plan = Plan::new(seed)
+        .site(FP_WRITE_ATOMIC, site(FailAction::Torn, 0.05, None))
+        .site(FP_COMMIT_OBJECT, site(FailAction::Error, 0.10, Some(4)))
+        .site(FP_COMMIT_ENTRY, site(FailAction::Error, 0.10, Some(4)))
+        .site(FP_HANDLER, site(FailAction::Error, 0.02, None))
+        .to_string();
     eprintln!("chaos_test: daemon failpoint plan {plan}");
     let mut daemon =
         Daemon::spawn(&bin, &daemon_args(&registry_root), Some(&plan)).expect("spawn daemon");
@@ -497,8 +494,6 @@ fn worker_chaos_phase(seed: u64) -> u64 {
     let spec = WorkerSpec::Sleepy {
         study: Study::MemorySystem,
         sleep_micros: 100,
-        crash_index: None,
-        nan_index: None,
     };
     let space = spec.space();
     let indices: Vec<usize> = (0..240).map(|i| (i * 7919) % space.size()).collect();
@@ -513,15 +508,10 @@ fn worker_chaos_phase(seed: u64) -> u64 {
         .map(|r| r.expect("sleepy evaluator never fails").to_bits())
         .collect();
 
-    // Workers inherit the kill schedule through the environment; this
-    // process never installs it locally, so only children die.
-    std::env::set_var(
-        ENV_FAILPOINTS,
-        render_plan(
-            seed,
-            &[(FP_WORKER_EVAL, site(FailAction::Exit(9), 0.05, None))],
-        ),
-    );
+    // The pool hands the kill schedule to the workers it spawns; only
+    // workers check the eval site, so only children die.
+    let plan = Plan::new(seed).site(FP_WORKER_EVAL, site(FailAction::Exit(9), 0.05, None));
+    let _plan = failpoint::enter(Arc::new(plan));
     let mut chaotic_pool = ProcessPoolOracle::with_workers(spec, 2).expect("chaotic pool");
     chaotic_pool.set_span_timeout(None);
     let healing = RetryingOracle::with_policy(
@@ -537,7 +527,6 @@ fn worker_chaos_phase(seed: u64) -> u64 {
         .iter()
         .map(|r| r.expect("retry layer heals every worker death").to_bits())
         .collect();
-    std::env::remove_var(ENV_FAILPOINTS);
 
     assert_eq!(
         healed, reference,

@@ -32,7 +32,7 @@
 
 use archpredict::crossapp::CrossAppModel;
 use archpredict::explorer::{Explorer, ExplorerConfig};
-use archpredict::fault::{FaultConfig, FaultInjectingOracle};
+use archpredict::fault::{self, FaultInjectingOracle};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{CachedEvaluator, RetryingOracle, SimBudget, SimStats, StudyEvaluator};
 use archpredict::studies::Study;
@@ -65,18 +65,15 @@ fn main() {
     let generator = TraceGenerator::new(benchmark);
     let budget = SimBudget::spread(&generator, 2, 4_000, 8_000);
 
-    let fault = FaultConfig {
-        probability: fault_percent / 100.0,
-        ..FaultConfig::default()
-    };
+    let fault = || fault::mixed(fault_percent / 100.0, 0xFA_17ED);
     let stack = |parallelism: Parallelism| -> Stack {
-        RetryingOracle::new(FaultInjectingOracle::with_config(
+        RetryingOracle::new(FaultInjectingOracle::new(
             CachedEvaluator::with_parallelism(
                 StudyEvaluator::with_budget(study, benchmark, budget.clone()),
                 space.clone(),
                 parallelism,
             ),
-            fault.clone(),
+            fault(),
         ))
     };
     let config = |parallelism: Parallelism| ExplorerConfig {
@@ -212,13 +209,13 @@ fn main() {
             (Benchmark::Mcf, {
                 let generator = TraceGenerator::new(Benchmark::Mcf);
                 let budget = SimBudget::spread(&generator, 2, 4_000, 8_000);
-                RetryingOracle::new(FaultInjectingOracle::with_config(
+                RetryingOracle::new(FaultInjectingOracle::new(
                     CachedEvaluator::with_parallelism(
                         StudyEvaluator::with_budget(study, Benchmark::Mcf, budget),
                         space.clone(),
                         parallelism,
                     ),
-                    fault.clone(),
+                    fault(),
                 ))
             }),
         ];
@@ -263,10 +260,11 @@ fn main() {
     );
 
     // Gate 6: distributed crash/quarantine determinism. A SleepyEvaluator
-    // worker that aborts at one index must produce the same results, the
-    // same quarantine set and untouched batchmates whether the abort is a
-    // real worker-process death (1 or 2 workers) or the in-process
-    // fallback's `Err(Crashed)` (0 workers).
+    // that crashes at one index (a keyed `fault.crashed` clause on the
+    // active plan) must produce the same results, the same quarantine set
+    // and untouched batchmates whether the crash is a real worker-process
+    // death (1 or 2 workers) or the in-process fallback's `Err(Crashed)`
+    // (0 workers).
     if archpredict::distributed::locate_worker_binary().is_err() {
         eprintln!(
             "fault_tolerance: WARNING: distributed gate skipped — archpredict-worker \
@@ -274,14 +272,19 @@ fn main() {
         );
     } else {
         use archpredict::distributed::{ProcessPoolOracle, WorkerSpec};
+        use archpredict::failpoint::{self, FailAction, Plan, SiteSpec};
         use archpredict::simulate::{Oracle, SimError};
         let crash_index = 4_321usize;
         let spec = WorkerSpec::Sleepy {
             study,
             sleep_micros: 0,
-            crash_index: Some(crash_index as u64),
-            nan_index: None,
         };
+        let plan = Plan::new(0).keyed(
+            fault::FP_CRASHED,
+            crash_index as u64,
+            SiteSpec::always(FailAction::Error),
+        );
+        let _plan = failpoint::enter(std::sync::Arc::new(plan));
         let indices = [3usize, crash_index, 77, 9_000, 15_000];
         let run = |workers: usize| {
             let pool = ProcessPoolOracle::with_workers(spec.clone(), workers)

@@ -48,6 +48,8 @@
 //! `ARCHPREDICT_SIM_THREADS`); the per-span deadline from
 //! [`ProcessPoolOracle::set_span_timeout`] or [`ENV_SPAN_TIMEOUT_MS`].
 
+use crate::failpoint::{self, ENV_FAILPOINTS};
+use crate::fault;
 use crate::simulate::{PointEvaluator, SimBudget, SimError, SimResult, StudyEvaluator};
 use crate::space::{DesignPoint, DesignSpace};
 use crate::studies::Study;
@@ -82,7 +84,8 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// the same span) — the between-spans death shape.
 pub const FP_SPAN_SEND: &str = "distributed.span.send";
 /// Failpoint site evaluated by `archpredict-worker` before each index it
-/// evaluates (the worker installs its plan from the environment). The
+/// evaluates, under [`failpoint::NO_KEY`]: a respawned worker restarts
+/// its attempt counts, so an index-keyed kill would never heal. The
 /// `abort` action is a real mid-span worker death; `error` makes the
 /// worker exit after failing the current index.
 pub const FP_WORKER_EVAL: &str = "distributed.worker.eval";
@@ -105,8 +108,9 @@ pub mod proto {
     /// Protocol version (bumped on any framing or spec-encoding change).
     /// Version 2 added the `u64` trace ID carried by `EVAL`, `RESULT`
     /// and `SPAN_DONE`, propagating [`crate::telemetry`] trace context
-    /// across the process boundary.
-    pub const VERSION: u16 = 2;
+    /// across the process boundary. Version 3 dropped the sleepy spec's
+    /// fault fields (faults travel as the worker's failpoint plan).
+    pub const VERSION: u16 = 3;
     /// Frames larger than this are rejected as protocol desync (a length
     /// prefix of garbage bytes must not trigger a giant allocation).
     pub const MAX_FRAME: u32 = 1 << 26;
@@ -315,15 +319,6 @@ impl<'a> SpecReader<'a> {
         ]))
     }
 
-    fn opt_u64(&mut self) -> io::Result<Option<u64>> {
-        Ok(if self.u8()? == 0 {
-            let _ = self.u64()?;
-            None
-        } else {
-            Some(self.u64()?)
-        })
-    }
-
     fn done(&self) -> io::Result<()> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -334,11 +329,6 @@ impl<'a> SpecReader<'a> {
             ))
         }
     }
-}
-
-fn push_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    out.push(u8::from(v.is_some()));
-    out.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
 }
 
 /// A self-contained, wire-encodable description of the evaluator a worker
@@ -361,21 +351,14 @@ pub enum WorkerSpec {
         budget: SimBudget,
     },
     /// The [`SleepyEvaluator`] test double: deterministic synthetic
-    /// values, an optional per-evaluation sleep (for exercising span
-    /// deadlines), an optional hard-crash index (the worker process
-    /// aborts — for exercising crash recovery) and an optional NaN index
-    /// (for exercising error transport).
+    /// values and an optional per-evaluation sleep (for exercising span
+    /// deadlines). Its faults come from the active failpoint plan's
+    /// `fault.*` sites, which the pool carries into its workers.
     Sleepy {
         /// Which study's space the indices belong to.
         study: Study,
         /// Per-evaluation sleep, in microseconds.
         sleep_micros: u64,
-        /// Index at which the worker process aborts (in-process fallback
-        /// returns [`SimError::Crashed`] instead, keeping results
-        /// identical at every worker count).
-        crash_index: Option<u64>,
-        /// Index that yields NaN → [`SimError::NonFinite`].
-        nan_index: Option<u64>,
     },
 }
 
@@ -419,47 +402,35 @@ impl WorkerSpec {
         }
     }
 
-    /// Builds the in-process incarnation of this spec's evaluator (used
-    /// by the 0-worker fallback and for single-point adapters).
+    /// Builds this spec's evaluator — the same one on either side of the
+    /// pipe (the 0-worker fallback, single-point adapters and every
+    /// worker process).
     pub fn evaluator(&self) -> SpecEvaluator {
-        self.build(false)
-    }
-
-    /// Builds the worker-process incarnation: identical to
-    /// [`WorkerSpec::evaluator`] except that a [`WorkerSpec::Sleepy`]
-    /// crash index genuinely aborts the process.
-    pub fn evaluator_in_worker(&self) -> SpecEvaluator {
-        self.build(true)
-    }
-
-    fn build(&self, in_worker: bool) -> SpecEvaluator {
         match self {
             WorkerSpec::Study {
                 study,
                 benchmark,
                 budget,
-            } => SpecEvaluator::Study(StudyEvaluator::with_budget(
+            } => SpecEvaluator::Study(Box::new(StudyEvaluator::with_budget(
                 *study,
                 *benchmark,
                 budget.clone(),
-            )),
+            ))),
             WorkerSpec::Sleepy {
                 study,
                 sleep_micros,
-                crash_index,
-                nan_index,
-            } => SpecEvaluator::Sleepy(SleepyEvaluator {
-                space: study.space(),
-                sleep: Duration::from_micros(*sleep_micros),
-                crash_index: crash_index.map(|i| i as usize),
-                nan_index: nan_index.map(|i| i as usize),
-                abort_on_crash: in_worker,
-            }),
+            } => SpecEvaluator::Sleepy(SleepyEvaluator::new(
+                *study,
+                Duration::from_micros(*sleep_micros),
+            )),
         }
     }
 
-    /// Serializes the spec for the `CONFIG` frame (little-endian, fixed
-    /// layout per variant; see [`proto`]).
+    /// Serializes the spec for the `CONFIG` frame (little-endian; see
+    /// [`proto`]). `Study`: tag `0`, study `u8`, benchmark `u8`, warmup
+    /// `u64`, measured `u64`, `u32` interval count, `u32` intervals.
+    /// `Sleepy`: tag `1`, study `u8`, sleep microseconds `u64`. Faults are
+    /// not in the spec: they travel as the worker's failpoint plan.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -485,14 +456,10 @@ impl WorkerSpec {
             WorkerSpec::Sleepy {
                 study,
                 sleep_micros,
-                crash_index,
-                nan_index,
             } => {
                 out.push(SPEC_SLEEPY);
                 out.push(study_tag(*study));
                 out.extend_from_slice(&sleep_micros.to_le_bytes());
-                push_opt_u64(&mut out, *crash_index);
-                push_opt_u64(&mut out, *nan_index);
             }
         }
         out
@@ -531,8 +498,6 @@ impl WorkerSpec {
             SPEC_SLEEPY => WorkerSpec::Sleepy {
                 study: study_from_tag(r.u8()?)?,
                 sleep_micros: r.u64()?,
-                crash_index: r.opt_u64()?,
-                nan_index: r.opt_u64()?,
             },
             other => {
                 return Err(io::Error::new(
@@ -550,9 +515,9 @@ impl WorkerSpec {
 /// of the pipe.
 #[derive(Debug)]
 pub enum SpecEvaluator {
-    /// Full detailed simulation.
-    Study(StudyEvaluator),
-    /// The synthetic sleepy/crashy/NaN test double.
+    /// Full detailed simulation (boxed: it dwarfs the test double).
+    Study(Box<StudyEvaluator>),
+    /// The synthetic sleepy test double.
     Sleepy(SleepyEvaluator),
 }
 
@@ -583,30 +548,25 @@ impl PointEvaluator for SpecEvaluator {
 /// evaluator behind [`WorkerSpec::Sleepy`].
 ///
 /// Values are a pure function of the design point (sum of level indices
-/// plus one), so runs are reproducible at any worker count. The optional
-/// fault knobs exercise the three distributed failure paths: `sleep`
-/// drives the pool's span deadline into [`SimError::TimedOut`],
-/// `crash_index` kills the worker process mid-span (in-process it returns
-/// [`SimError::Crashed`], keeping placements identical), and `nan_index`
-/// exercises error transport with [`SimError::NonFinite`].
+/// plus one), so runs are reproducible at any worker count. It exercises
+/// the distributed failure paths: `sleep` drives the pool's span deadline
+/// into [`SimError::TimedOut`], and each evaluation checks the active
+/// failpoint plan's `fault.*` sites ([`crate::fault::SITES`]) under its
+/// index, returning the error a site injects. A worker process that
+/// evaluates into [`SimError::Crashed`] dies for real, so a keyed
+/// `fault.crashed` clause blames the same index at every worker count.
 #[derive(Debug)]
 pub struct SleepyEvaluator {
     space: DesignSpace,
     sleep: Duration,
-    crash_index: Option<usize>,
-    nan_index: Option<usize>,
-    abort_on_crash: bool,
 }
 
 impl SleepyEvaluator {
-    /// A fault-free sleepy evaluator over `study`'s space.
+    /// A sleepy evaluator over `study`'s space.
     pub fn new(study: Study, sleep: Duration) -> Self {
         Self {
             space: study.space(),
             sleep,
-            crash_index: None,
-            nan_index: None,
-            abort_on_crash: false,
         }
     }
 
@@ -626,19 +586,10 @@ impl PointEvaluator for SleepyEvaluator {
             std::thread::sleep(self.sleep);
         }
         let index = self.space.index(point);
-        if Some(index) == self.crash_index {
-            if self.abort_on_crash {
-                // A genuine hard death: no unwinding, no cleanup, no exit
-                // code 0 — exactly what a segfaulting simulator looks like
-                // to the coordinator.
-                std::process::abort();
-            }
-            return Err(SimError::Crashed);
+        match failpoint::active().and_then(|plan| fault::injected(&plan, index)) {
+            Some(error) => Err(error),
+            None => Ok(Self::value_at(point)),
         }
-        if Some(index) == self.nan_index {
-            return Err(SimError::NonFinite);
-        }
-        Ok(Self::value_at(point))
     }
 
     fn instructions_per_evaluation(&self) -> u64 {
@@ -797,11 +748,18 @@ impl ProcessPoolOracle {
 
     fn spawn_worker(&self) -> io::Result<Worker> {
         let binary = self.binary.as_ref().expect("spawn requires workers >= 1");
-        let mut child = Command::new(binary)
+        let mut command = Command::new(binary);
+        command
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
+            .stderr(Stdio::inherit());
+        // The worker joins the spawning thread's failpoint plan, and only
+        // that plan: no plan means none, whatever this process inherited.
+        match failpoint::active() {
+            Some(plan) => command.env(ENV_FAILPOINTS, plan.to_string()),
+            None => command.env_remove(ENV_FAILPOINTS),
+        };
+        let mut child = command.spawn()?;
         let pid = child.id();
         let mut stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
@@ -888,7 +846,7 @@ impl ProcessPoolOracle {
             // An injected send failure looks exactly like a worker that
             // died idle between spans: the coordinator reaps, respawns,
             // and retries the same indices.
-            let sent = match crate::failpoint::check(FP_SPAN_SEND) {
+            let sent = match failpoint::check(FP_SPAN_SEND) {
                 Some(failure) => Err(failure.into_io_error(FP_SPAN_SEND)),
                 None => proto::write_frame(&mut worker.stdin, &proto::encode_eval(trace, &indices))
                     .and_then(|_| worker.stdin.flush()),
@@ -1014,18 +972,22 @@ impl PointEvaluator for ProcessPoolOracle {
         let workers = self.workers.min(indices.len());
         let chunk = indices.len().div_ceil(workers);
         let mut results = vec![Ok(0.0); indices.len()];
-        // Trace context is thread-local; capture it here and re-attach
-        // inside each scoped worker thread so span frames carry the
-        // caller's trace ID across the process boundary.
+        // Trace context and the failpoint plan are thread-local; capture
+        // them here and re-enter them inside each scoped worker thread so
+        // span frames carry the caller's trace ID across the process
+        // boundary and respawned workers join the caller's plan.
         let trace = telemetry::current_trace();
+        let plan = failpoint::active();
         std::thread::scope(|scope| {
             for (slot_index, (out, span)) in results
                 .chunks_mut(chunk)
                 .zip(indices.chunks(chunk))
                 .enumerate()
             {
+                let plan = plan.clone();
                 scope.spawn(move || {
                     let _trace_scope = telemetry::set_trace(trace);
+                    let _plan = failpoint::enter(plan);
                     self.run_span(slot_index, span, out);
                 });
             }
@@ -1230,14 +1192,10 @@ mod tests {
             WorkerSpec::Sleepy {
                 study: Study::MemorySystem,
                 sleep_micros: 1_500,
-                crash_index: Some(42),
-                nan_index: None,
             },
             WorkerSpec::Sleepy {
                 study: Study::Processor,
                 sleep_micros: 0,
-                crash_index: None,
-                nan_index: Some(7),
             },
         ];
         for spec in specs {
@@ -1257,11 +1215,14 @@ mod tests {
         let spec = WorkerSpec::Sleepy {
             study: Study::MemorySystem,
             sleep_micros: 0,
-            crash_index: Some(5),
-            nan_index: Some(9),
         };
         let space = spec.space();
         let evaluator = spec.evaluator();
+        let always = failpoint::SiteSpec::always(failpoint::FailAction::Error);
+        let plan = failpoint::Plan::new(1)
+            .keyed(fault::FP_CRASHED, 5, always)
+            .keyed(fault::FP_NON_FINITE, 9, always);
+        let _plan = failpoint::enter(std::sync::Arc::new(plan));
         assert_eq!(
             evaluator.try_evaluate(&space.point(5)),
             Err(SimError::Crashed)
@@ -1283,8 +1244,6 @@ mod tests {
         let spec = WorkerSpec::Sleepy {
             study: Study::MemorySystem,
             sleep_micros: 0,
-            crash_index: None,
-            nan_index: None,
         };
         let space = spec.space();
         // workers == 0 must construct even with no worker binary on disk.

@@ -1,120 +1,98 @@
-//! Deterministic fault injection for testing the fault-tolerant oracle
-//! stack.
+//! Seeded simulation-error injection for testing the fault-tolerant
+//! oracle stack, expressed as [`crate::failpoint`] sites.
 //!
-//! [`FaultInjectingOracle`] wraps any [`Oracle`] and injects seeded,
-//! per-(index, attempt) faults with a configurable probability and mode
-//! mix. The fault schedule is a *pure function* of the configured seed,
-//! the design-point index, and how many times that index has been
-//! attempted — never of thread timing — so an injected-fault run is
+//! Each injectable [`SimError`] has a site named after it ([`SITES`]),
+//! checked with the design-point index as its key. Because a keyed
+//! check is a pure function of `(seed, site, index, attempt)` — never of
+//! thread timing or of other indices' checks — an injected-fault run is
 //! bit-for-bit reproducible at every [`archpredict_ann::Parallelism`]
 //! setting, which is exactly what the CI smoke gate asserts.
+//!
+//! Two things consult the sites: [`FaultInjectingOracle`], with the plan
+//! it owns, and the [`crate::distributed::SleepyEvaluator`] test double,
+//! with the calling thread's active plan (which the process pool carries
+//! into its workers).
 
+use crate::failpoint::{FailAction, Plan, SiteSpec};
 use crate::simulate::{Oracle, SimError, SimResult, SimStats};
 use crate::space::DesignSpace;
 use crate::telemetry::{self, Counter};
-use archpredict_stats::rng::Xoshiro256;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
-/// Fault schedule configuration for [`FaultInjectingOracle`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultConfig {
-    /// Probability that any single (index, attempt) evaluation faults.
-    pub probability: f64,
-    /// Seed of the deterministic fault schedule.
-    pub seed: u64,
-    /// Fault mode mix: `(mode, weight)` pairs, weights need not sum to 1.
-    pub modes: Vec<(SimError, f64)>,
+/// Site injecting [`SimError::Transient`].
+pub const FP_TRANSIENT: &str = "fault.transient";
+/// Site injecting [`SimError::Crashed`] (a worker process that evaluates
+/// into it dies for real).
+pub const FP_CRASHED: &str = "fault.crashed";
+/// Site injecting [`SimError::TimedOut`].
+pub const FP_TIMED_OUT: &str = "fault.timed_out";
+/// Site injecting [`SimError::NonFinite`].
+pub const FP_NON_FINITE: &str = "fault.non_finite";
+
+/// Every `fault.*` site with the error it injects, in check order.
+pub const SITES: [(&str, SimError); 4] = [
+    (FP_TRANSIENT, SimError::Transient),
+    (FP_CRASHED, SimError::Crashed),
+    (FP_TIMED_OUT, SimError::TimedOut),
+    (FP_NON_FINITE, SimError::NonFinite),
+];
+
+/// The error `plan` injects into this evaluation of `index`, if any: the
+/// [`SITES`] are checked in order under key `index`, and the first that
+/// fires names the error.
+pub fn injected(plan: &Plan, index: usize) -> Option<SimError> {
+    SITES
+        .iter()
+        .find(|(site, _)| plan.fire(site, index as u64).is_some())
+        .map(|&(_, error)| error)
 }
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            probability: 0.1,
-            seed: 0xFA_17ED,
-            modes: vec![
-                (SimError::Transient, 0.5),
-                (SimError::Crashed, 0.2),
-                (SimError::TimedOut, 0.2),
-                (SimError::NonFinite, 0.1),
-            ],
-        }
+/// A mixed-mode plan: each evaluation faults with probability
+/// `probability`, split 5:2:2:1 between transient, crashed, timed-out and
+/// non-finite faults.
+pub fn mixed(probability: f64, seed: u64) -> Plan {
+    const WEIGHTS: [f64; 4] = [0.5, 0.2, 0.2, 0.1];
+    let mut plan = Plan::new(seed);
+    // Sites are checked in order, so each one's probability is its share
+    // conditioned on no earlier site having fired.
+    let mut unfired = 1.0;
+    for (&(site, _), weight) in SITES.iter().zip(WEIGHTS) {
+        let share = probability * weight;
+        let spec = SiteSpec {
+            probability: (share / unfired).min(1.0),
+            ..SiteSpec::always(FailAction::Error)
+        };
+        plan = plan.site(site, spec);
+        unfired -= share;
     }
-}
-
-impl FaultConfig {
-    /// A schedule that only injects retriable faults — useful when a test
-    /// must guarantee every index eventually succeeds within the retry
-    /// budget's reach (no deterministic `NonFinite` garbage).
-    pub fn retriable_only(probability: f64, seed: u64) -> Self {
-        Self {
-            probability,
-            seed,
-            modes: vec![
-                (SimError::Transient, 0.6),
-                (SimError::Crashed, 0.2),
-                (SimError::TimedOut, 0.2),
-            ],
-        }
-    }
-
-    /// The fault decision for attempt number `attempt` (1-based) at
-    /// `index`: a pure function of `(seed, index, attempt)`.
-    pub fn fault_for(&self, index: usize, attempt: u64) -> Option<SimError> {
-        let mut rng = Xoshiro256::seed_from(self.seed)
-            .derive(index as u64 + 1)
-            .derive(attempt);
-        if rng.next_f64() >= self.probability {
-            return None;
-        }
-        let total: f64 = self.modes.iter().map(|&(_, w)| w).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut pick = rng.next_f64() * total;
-        for &(mode, weight) in &self.modes {
-            pick -= weight;
-            if pick < 0.0 {
-                return Some(mode);
-            }
-        }
-        self.modes.last().map(|&(mode, _)| mode)
-    }
+    plan
 }
 
 /// Wraps any oracle with a seeded, deterministic fault schedule.
 ///
-/// Faulted (index, attempt) pairs never reach the inner oracle — the
-/// injector simulates the backend dying *before* it produces a value — so
-/// wrapping a [`crate::simulate::CachedEvaluator`] keeps the cache free of
+/// Faulted occurrences never reach the inner oracle — the injector
+/// simulates the backend dying *before* it produces a value — so wrapping
+/// a [`crate::simulate::CachedEvaluator`] keeps the cache free of
 /// injected garbage, and the exactly-once-per-surviving-index property of
 /// the stack is preserved.
 ///
 /// Fault decisions are computed sequentially in input order before the
-/// surviving subset is delegated to the inner oracle, so injection is
-/// independent of the inner oracle's thread count.
+/// surviving subset is delegated to the inner oracle, and the plan's
+/// attempt counts persist across batches (retries of an index advance
+/// its schedule), so injection is independent of the inner oracle's
+/// thread count.
 #[derive(Debug)]
 pub struct FaultInjectingOracle<O> {
     inner: O,
-    config: FaultConfig,
-    /// Attempts seen per index (shared across batches, so retries of an
-    /// index advance its schedule).
-    attempts: Mutex<HashMap<usize, u64>>,
+    plan: Plan,
     injected: Counter,
 }
 
 impl<O: Oracle> FaultInjectingOracle<O> {
-    /// Wraps `inner` with the default 10% mixed-mode schedule.
-    pub fn new(inner: O) -> Self {
-        Self::with_config(inner, FaultConfig::default())
-    }
-
-    /// Wraps `inner` with an explicit schedule.
-    pub fn with_config(inner: O, config: FaultConfig) -> Self {
+    /// Wraps `inner` with the `fault.*` sites of `plan` (see [`mixed`]).
+    pub fn new(inner: O, plan: Plan) -> Self {
         Self {
             inner,
-            config,
-            attempts: Mutex::new(HashMap::new()),
+            plan,
             injected: Counter::mirroring("fault.injected", &telemetry::FAULT_INJECTED),
         }
     }
@@ -122,11 +100,6 @@ impl<O: Oracle> FaultInjectingOracle<O> {
     /// The wrapped oracle.
     pub fn inner(&self) -> &O {
         &self.inner
-    }
-
-    /// The fault schedule in force.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// Total faults injected so far.
@@ -144,27 +117,22 @@ impl<O: Oracle> Oracle for FaultInjectingOracle<O> {
     ) -> Vec<SimResult> {
         // Phase 1 (sequential, input order): decide each occurrence's
         // fate. Duplicate occurrences of an index advance its attempt
-        // counter independently, in input order, so the schedule does not
+        // count independently, in input order, so the schedule does not
         // depend on how the inner oracle parallelizes.
         let mut results: Vec<SimResult> = Vec::with_capacity(indices.len());
         let mut passing: Vec<usize> = Vec::new();
         let mut passing_slots: Vec<usize> = Vec::new();
-        {
-            let mut attempts = self.attempts.lock().expect("attempt counter lock");
-            for (slot, &index) in indices.iter().enumerate() {
-                let attempt = attempts.entry(index).or_insert(0);
-                *attempt += 1;
-                match self.config.fault_for(index, *attempt) {
-                    Some(error) => {
-                        stats.failures += 1;
-                        self.injected.incr();
-                        results.push(Err(error));
-                    }
-                    None => {
-                        passing.push(index);
-                        passing_slots.push(slot);
-                        results.push(Ok(0.0)); // placeholder, filled below
-                    }
+        for (slot, &index) in indices.iter().enumerate() {
+            match injected(&self.plan, index) {
+                Some(error) => {
+                    stats.failures += 1;
+                    self.injected.incr();
+                    results.push(Err(error));
+                }
+                None => {
+                    passing.push(index);
+                    passing_slots.push(slot);
+                    results.push(Ok(0.0)); // placeholder, filled below
                 }
             }
         }
@@ -208,32 +176,38 @@ mod tests {
 
     #[test]
     fn schedule_is_a_pure_function_of_seed_index_attempt() {
-        let config = FaultConfig::default();
-        for index in 0..200 {
-            for attempt in 1..4 {
-                assert_eq!(
-                    config.fault_for(index, attempt),
-                    config.fault_for(index, attempt)
-                );
+        let first: Vec<Option<SimError>> = {
+            let plan = mixed(0.1, 0xFA_17ED);
+            (0..600).map(|i| injected(&plan, i % 200)).collect()
+        };
+        // Same checks in another index order: each index's sequence of
+        // outcomes is unchanged.
+        let plan = mixed(0.1, 0xFA_17ED);
+        let mut second = vec![None; 600];
+        for i in (0..200).rev() {
+            for attempt in 0..3 {
+                second[attempt * 200 + i] = injected(&plan, i);
             }
         }
-        // ~10% of first attempts fault (loose statistical bound).
-        let faults = (0..2000)
-            .filter(|&i| config.fault_for(i, 1).is_some())
-            .count();
-        assert!((100..300).contains(&faults), "fault count {faults}");
+        assert_eq!(first, second);
+        // ~10% of first attempts fault (loose statistical bound), and
+        // every mode occurs.
+        let plan = mixed(0.1, 0xFA_17ED);
+        let faults: Vec<SimError> = (0..2000).filter_map(|i| injected(&plan, i)).collect();
+        assert!(
+            (100..300).contains(&faults.len()),
+            "fault count {}",
+            faults.len()
+        );
+        for (_, mode) in SITES {
+            assert!(faults.contains(&mode), "{mode:?} never injected");
+        }
     }
 
     #[test]
     fn faulted_attempts_never_reach_the_inner_oracle() {
         let space = Study::MemorySystem.space();
-        let injector = FaultInjectingOracle::with_config(
-            counting(),
-            FaultConfig {
-                probability: 0.5,
-                ..FaultConfig::default()
-            },
-        );
+        let injector = FaultInjectingOracle::new(counting(), mixed(0.5, 0xFA_17ED));
         let indices: Vec<usize> = (0..100).collect();
         let mut stats = SimStats::default();
         let results = injector.evaluate_batch(&space, &indices, &mut stats);
@@ -249,11 +223,16 @@ mod tests {
     #[test]
     fn retry_stack_recovers_retriable_injected_faults_deterministically() {
         let space = Study::MemorySystem.space();
+        let retriable = |probability| SiteSpec {
+            probability,
+            ..SiteSpec::always(FailAction::Error)
+        };
         let run = || {
-            let oracle = RetryingOracle::new(FaultInjectingOracle::with_config(
-                counting(),
-                FaultConfig::retriable_only(0.3, 77),
-            ));
+            let plan = Plan::new(77)
+                .site(FP_TRANSIENT, retriable(0.18))
+                .site(FP_CRASHED, retriable(0.07))
+                .site(FP_TIMED_OUT, retriable(0.07));
+            let oracle = RetryingOracle::new(FaultInjectingOracle::new(counting(), plan));
             let mut stats = SimStats::default();
             let results = oracle.evaluate_batch(&space, &(0..50).collect::<Vec<_>>(), &mut stats);
             (results, stats.retries, stats.quarantined)

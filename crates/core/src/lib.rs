@@ -23,11 +23,12 @@
 //!   SimPoint-accelerated (noisy) simulation, a sharded deduplicating
 //!   cache with CSV persist/preload, parallel batch fan-out, and
 //!   [`simulate::SimStats`] telemetry.
-//! * [`fault`] — deterministic, seeded fault injection for exercising the
-//!   retry/quarantine stack under reproducible failure schedules.
-//! * [`failpoint`] — named, seeded fault sites compiled into the persist,
-//!   registry, serve and distributed paths; every chaos schedule is a
-//!   pure function of `(seed, site, hit count)` and therefore replayable.
+//! * [`failpoint`] — the one fault layer: seeded fault sites decided by a
+//!   per-thread [`failpoint::Plan`] as a pure function of
+//!   `(seed, site, key, attempt)`, carried into fan-out threads and workers.
+//! * [`fault`] — the `fault.*` sites (keyed by design-point index) and
+//!   [`fault::FaultInjectingOracle`], which exercise the retry/quarantine
+//!   stack under reproducible failure schedules.
 //! * [`distributed`] — the multi-process simulation oracle: a coordinator
 //!   that fork/execs `archpredict-worker` processes and speaks a
 //!   length-prefixed pipe protocol, bit-for-bit identical to the
@@ -116,7 +117,7 @@ pub use campaign::{AppEncoder, Campaign, CampaignConfig, Encoder, PlainEncoder};
 pub use checkpoint::{CheckpointError, ExplorerState};
 pub use distributed::{ProcessPoolOracle, SleepyEvaluator, SpecEvaluator, WorkerSpec};
 pub use explorer::{ExploreError, Explorer, ExplorerConfig, Round, TrueError};
-pub use fault::{FaultConfig, FaultInjectingOracle};
+pub use fault::FaultInjectingOracle;
 pub use param::{Param, ParamKind, ParamValue};
 pub use registry::{FitOutcome, ModelKey, Registry, RegistryError, StudyFitSpec, SweepReport};
 pub use serve::{install_signal_handlers, shutdown_signaled, ServeConfig, Server, ServerHandle};

@@ -79,7 +79,8 @@
 //! fails every follower in the batch with a `500` as well — no follower
 //! is left waiting on a dead leader. The dispatch path and the sweep
 //! carry [`crate::failpoint`] sites ([`FP_HANDLER`], [`FP_SWEEP`]) so
-//! chaos schedules can inject exactly these failures.
+//! chaos schedules can inject exactly these failures (under the plan
+//! active where [`Server::bind`] ran).
 
 use crate::campaign::CampaignConfig;
 use crate::failpoint;
@@ -382,6 +383,8 @@ struct ServerInner {
     /// Set when the drain begins; `/ready` answers 503 from then on
     /// while `/health` stays 200 (readiness vs liveness).
     draining: AtomicBool,
+    /// The failpoint plan active at bind; connection threads enter it.
+    plan: Option<Arc<failpoint::Plan>>,
 }
 
 /// A bound (but not yet running) daemon.
@@ -457,6 +460,7 @@ impl Server {
                 stats: ServeStats::default(),
                 shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
+                plan: failpoint::active(),
             }),
             listener,
         })
@@ -504,6 +508,7 @@ impl Server {
                     let inner = Arc::clone(&self.inner);
                     std::thread::spawn(move || {
                         let _permit = permit;
+                        let _plan = failpoint::enter(inner.plan.clone());
                         handle_connection(stream, &inner);
                     });
                 }

@@ -328,9 +328,13 @@ fn fan_out<E: PointEvaluator + ?Sized>(
     }
     let mut results = vec![Ok(0.0); indices.len()];
     let chunk = indices.len().div_ceil(workers);
+    // Evaluators may check failpoints: workers re-enter the caller's plan.
+    let plan = crate::failpoint::active();
     std::thread::scope(|scope| {
         for (slot, work) in results.chunks_mut(chunk).zip(indices.chunks(chunk)) {
+            let plan = plan.clone();
             scope.spawn(move || {
+                let _plan = crate::failpoint::enter(plan);
                 for (out, &i) in slot.iter_mut().zip(work) {
                     *out = evaluator.try_evaluate(&space.point(i));
                 }

@@ -21,8 +21,8 @@
 //! * **Spans** ([`span`]) — monotonic timings with parent links,
 //!   emitted as JSONL events to the file named by the
 //!   [`ENV_TRACE`] environment variable (`ARCHPREDICT_TRACE=path`).
-//!   When no sink is installed a span is **one relaxed atomic load** —
-//!   the same disarmed-cost discipline as [`crate::failpoint`]. Each
+//!   When no sink is installed a span is **one relaxed atomic load**,
+//!   as near-free as an unarmed [`crate::failpoint`] check. Each
 //!   event line is appended with a single `write` call, so concurrent
 //!   writers (the daemon and its worker processes share one log) never
 //!   interleave partial lines.

@@ -69,9 +69,11 @@ fn run() -> Result<(), String> {
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
-    if failpoint::install_from_env().map_err(|e| format!("failpoints: {e}"))? {
-        eprintln!("archpredict-served: failpoint schedule installed from environment");
+    let plan = failpoint::Plan::from_env().map_err(|e| format!("failpoints: {e}"))?;
+    if plan.is_some() {
+        eprintln!("archpredict-served: failpoint schedule entered from environment");
     }
+    let _plan = failpoint::enter(plan);
     if telemetry::install_trace_from_env().map_err(|e| format!("trace sink: {e}"))? {
         eprintln!(
             "archpredict-served: trace events -> {}",

@@ -34,6 +34,22 @@ const MAGIC: f64 = 6_755_399_441_055_744.0;
 /// is the real value's remainder below that rounding.
 const LN2_HI: f64 = std::f64::consts::LN_2;
 const LN2_LO: f64 = 2.371_231_394_796_339_4e-17;
+/// Taylor coefficients `1/k!` of `e^r` for `k = 11, 10, …, 0`, highest
+/// order first, in the order Horner's rule consumes them.
+const EXP_POLY: [f64; 12] = [
+    1.0 / 39_916_800.0,
+    1.0 / 3_628_800.0,
+    1.0 / 362_880.0,
+    1.0 / 40_320.0,
+    1.0 / 5_040.0,
+    1.0 / 720.0,
+    1.0 / 120.0,
+    1.0 / 24.0,
+    1.0 / 6.0,
+    0.5,
+    1.0,
+    1.0,
+];
 
 /// `e^x` as a branch-free polynomial: range-reduce to
 /// `r in [-ln2/2, ln2/2]`, evaluate a degree-11 Taylor polynomial by
@@ -51,18 +67,10 @@ pub fn exp(x: f64) -> f64 {
     let k = x * LOG2E + MAGIC;
     let n = k - MAGIC; // round(x / ln 2), exactly representable
     let r = x - n * LN2_HI - n * LN2_LO;
-    let p = 1.0
-        + r * (1.0
-            + r * (0.5
-                + r * (1.0 / 6.0
-                    + r * (1.0 / 24.0
-                        + r * (1.0 / 120.0
-                            + r * (1.0 / 720.0
-                                + r * (1.0 / 5040.0
-                                    + r * (1.0 / 40320.0
-                                        + r * (1.0 / 362_880.0
-                                            + r * (1.0 / 3_628_800.0
-                                                + r * (1.0 / 39_916_800.0)))))))))));
+    let mut p = EXP_POLY[0];
+    for &c in &EXP_POLY[1..] {
+        p = p * r + c;
+    }
     // The magic-number trick leaves n's integer value recoverable by exact
     // bit subtraction; (n + 1023) << 52 is then the bit pattern of 2^n.
     let ni = (k.to_bits() as i64).wrapping_sub(MAGIC.to_bits() as i64);

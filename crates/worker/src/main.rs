@@ -12,15 +12,16 @@
 
 use archpredict::distributed::{proto, WorkerSpec, FP_WORKER_EVAL};
 use archpredict::failpoint;
-use archpredict::simulate::PointEvaluator;
+use archpredict::simulate::{PointEvaluator, SimError};
 use archpredict::telemetry;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::process::ExitCode;
 
 fn run() -> io::Result<()> {
-    // Chaos schedules reach workers through the environment: an `abort`
-    // plan on the eval site is a real, deterministic mid-span death.
-    failpoint::install_from_env().map_err(io::Error::other)?;
+    // The pool hands its failpoint plan over through the environment: an
+    // `abort` clause on the eval site is a real, deterministic death.
+    let plan = failpoint::Plan::from_env().map_err(io::Error::other)?;
+    let _plan = failpoint::enter(plan);
     // Trace context arrives two ways: the JSONL sink path through the
     // inherited ARCHPREDICT_TRACE variable, and the per-span trace ID on
     // each EVAL frame. One shared file collects the whole process tree.
@@ -55,7 +56,7 @@ fn run() -> io::Result<()> {
             ))
         }
     };
-    let evaluator = spec.evaluator_in_worker();
+    let evaluator = spec.evaluator();
     let space = spec.space();
 
     loop {
@@ -88,6 +89,11 @@ fn run() -> io::Result<()> {
                         )
                     })?;
                     let result = evaluator.try_evaluate(&point);
+                    if result == Err(SimError::Crashed) {
+                        // Die hard, as a segfaulting simulator would;
+                        // the coordinator blames this index.
+                        std::process::abort();
+                    }
                     proto::write_frame(&mut output, &proto::encode_result(trace, *index, &result))?;
                     // Flush per result, not per span: the coordinator's
                     // crash blame depends on seeing every completed

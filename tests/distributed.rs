@@ -12,6 +12,8 @@ use archpredict::distributed::{
     locate_worker_binary, ProcessPoolOracle, SleepyEvaluator, WorkerSpec,
 };
 use archpredict::explorer::{Explorer, ExplorerConfig};
+use archpredict::failpoint::{self, FailAction, Plan, PlanScope, SiteSpec};
+use archpredict::fault::{FP_CRASHED, FP_NON_FINITE};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{
     CachedEvaluator, Oracle, PointEvaluator, RetryingOracle, SimBudget, SimError, SimResult,
@@ -21,7 +23,7 @@ use archpredict::studies::Study;
 use archpredict_ann::{Parallelism, TrainConfig};
 use archpredict_workloads::{Benchmark, TraceGenerator};
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Builds (a no-op when fresh) and locates the worker binary. Built
@@ -57,9 +59,14 @@ fn sleepy_spec(sleep_micros: u64) -> WorkerSpec {
     WorkerSpec::Sleepy {
         study: Study::MemorySystem,
         sleep_micros,
-        crash_index: None,
-        nan_index: None,
     }
+}
+
+/// Enters, on this thread, a plan whose `site` fires on every check of
+/// `index`; pools carry it into their threads and worker processes.
+fn always_at(site: &str, index: usize) -> PlanScope {
+    let plan = Plan::new(0).keyed(site, index as u64, SiteSpec::always(FailAction::Error));
+    failpoint::enter(Arc::new(plan))
 }
 
 /// Results as comparable bits: `Ok` values via `to_bits` (bit-exact, NaN
@@ -73,12 +80,8 @@ fn bits(results: &[SimResult]) -> Vec<Result<u64, SimError>> {
 /// duplicates and all.
 #[test]
 fn batches_are_bit_identical_across_worker_counts() {
-    let spec = WorkerSpec::Sleepy {
-        study: Study::MemorySystem,
-        sleep_micros: 0,
-        crash_index: None,
-        nan_index: Some(77),
-    };
+    let spec = sleepy_spec(0);
+    let _plan = always_at(FP_NON_FINITE, 77);
     let space = spec.space();
     // Scattered indices, the NaN index, and duplicates.
     let mut indices: Vec<usize> = (0..60).map(|i| (i * 389) % space.size()).collect();
@@ -339,12 +342,8 @@ fn killed_worker_heals_through_retry_into_identical_curve() {
 #[test]
 fn deterministic_crash_quarantines_identically_at_every_worker_count() {
     let crash_index: usize = 1_234;
-    let spec = WorkerSpec::Sleepy {
-        study: Study::MemorySystem,
-        sleep_micros: 0,
-        crash_index: Some(crash_index as u64),
-        nan_index: None,
-    };
+    let spec = sleepy_spec(0);
+    let _plan = always_at(FP_CRASHED, crash_index);
     let space = spec.space();
     let indices: Vec<usize> = vec![10, 600, crash_index, 4_000, 9_999];
 

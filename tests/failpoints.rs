@@ -5,39 +5,26 @@
 //! registry `CrashPoint` hook), injected schedules replay identically,
 //! and a faulted worker dispatch respawns and heals bit-exactly.
 //!
-//! Failpoint state is process-global, so every test arms its plan
-//! through [`arm`], which serializes on a lock and disarms on drop —
-//! parallel test threads never observe each other's schedules.
+//! Every test arms its plan by entering it on its own thread ([`arm`]);
+//! plans are thread-scoped, so parallel test threads never observe each
+//! other's schedules and no test needs a lock.
 
 use archpredict::campaign::CampaignConfig;
 use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec, FP_SPAN_SEND};
-use archpredict::failpoint::{self, FailAction, SiteSpec};
+use archpredict::failpoint::{self, FailAction, Plan, PlanScope, SiteSpec, ENV_FAILPOINTS};
+use archpredict::fault::FP_NON_FINITE;
 use archpredict::persist::{self, FP_WRITE_ATOMIC};
 use archpredict::registry::{Registry, StudyFitSpec, FP_COMMIT_ENTRY, FP_COMMIT_OBJECT};
-use archpredict::simulate::{Oracle, SimStats};
+use archpredict::simulate::{Oracle, SimError, SimStats};
 use archpredict::studies::Study;
 use archpredict_workloads::Benchmark;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-/// Serializes failpoint-armed sections across test threads; the guard
-/// disarms everything on drop (panic included).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl Drop for Armed<'_> {
-    fn drop(&mut self) {
-        failpoint::clear();
-    }
-}
-
-fn arm(seed: u64, sites: &[(&str, SiteSpec)]) -> Armed<'static> {
-    let guard = TEST_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    failpoint::install(seed, sites);
-    Armed(guard)
+/// Enters a plan arming `site` with `spec` on this thread until the
+/// guard drops (panic included).
+fn arm(seed: u64, site: &str, spec: SiteSpec) -> PlanScope {
+    failpoint::enter(Arc::new(Plan::new(seed).site(site, spec)))
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -83,10 +70,7 @@ fn torn_write_never_touches_the_destination() {
     let path = dir.join("artifact.json");
     persist::write_atomic(&path, "generation-one").expect("clean write");
 
-    let _armed = arm(
-        0x7E54,
-        &[(FP_WRITE_ATOMIC, SiteSpec::once(FailAction::Torn))],
-    );
+    let _armed = arm(0x7E54, FP_WRITE_ATOMIC, SiteSpec::once(FailAction::Torn));
     let next = "generation-two-considerably-longer";
     let err = persist::write_atomic(&path, next).expect_err("torn write fails the call");
     assert!(
@@ -118,7 +102,7 @@ fn commit_entry_crash_is_a_clean_miss_and_a_refit_heals_it() {
     let root = temp_dir("commit_entry");
     let registry = Registry::open(&root).expect("open registry");
     let spec = quick_spec(0xA11CE);
-    let _armed = arm(2, &[(FP_COMMIT_ENTRY, SiteSpec::once(FailAction::Error))]);
+    let armed = arm(2, FP_COMMIT_ENTRY, SiteSpec::once(FailAction::Error));
     let err = registry
         .get_or_fit_study(&spec)
         .expect_err("commit dies between object and entry");
@@ -126,9 +110,7 @@ fn commit_entry_crash_is_a_clean_miss_and_a_refit_heals_it() {
         err.to_string().contains(FP_COMMIT_ENTRY),
         "error names the site: {err}"
     );
-    // Disarm, but hold the lock through the unarmed steps below so no
-    // other test's plan can reach them.
-    failpoint::clear();
+    drop(armed);
     // Object landed, entry never did: readers see a clean miss, and the
     // orphaned object is unreferenced debris, not corruption.
     assert!(
@@ -158,7 +140,7 @@ fn commit_object_failure_leaves_nothing_durable() {
     let root = temp_dir("commit_object");
     let registry = Registry::open(&root).expect("open registry");
     let spec = quick_spec(0xB0B);
-    let _armed = arm(3, &[(FP_COMMIT_OBJECT, SiteSpec::once(FailAction::Error))]);
+    let armed = arm(3, FP_COMMIT_OBJECT, SiteSpec::once(FailAction::Error));
     let err = registry
         .get_or_fit_study(&spec)
         .expect_err("commit dies before the object write");
@@ -166,9 +148,7 @@ fn commit_object_failure_leaves_nothing_durable() {
         err.to_string().contains(FP_COMMIT_OBJECT),
         "error names the site: {err}"
     );
-    // Disarm, but hold the lock through the unarmed steps below so no
-    // other test's plan can reach them.
-    failpoint::clear();
+    drop(armed);
     assert_eq!(listing(&root.join("entries")), Vec::<String>::new());
     assert_eq!(listing(&root.join("objects")), Vec::<String>::new());
 
@@ -186,7 +166,7 @@ fn injected_error_pattern_replays_identically_across_reinstalls() {
         max_fires: None,
     };
     let run = || -> Vec<bool> {
-        let _armed = arm(0xBEEF, &[(FP_WRITE_ATOMIC, spec)]);
+        let _armed = arm(0xBEEF, FP_WRITE_ATOMIC, spec);
         (0..60)
             .map(|i| persist::write_atomic(&dir.join(format!("f{i}")), "x").is_err())
             .collect()
@@ -226,8 +206,6 @@ fn span_send_fault_respawns_the_worker_and_heals_the_batch() {
     let spec = WorkerSpec::Sleepy {
         study: Study::MemorySystem,
         sleep_micros: 0,
-        crash_index: None,
-        nan_index: None,
     };
     let space = spec.space();
     let indices: Vec<usize> = (0..40).map(|i| (i * 389) % space.size()).collect();
@@ -247,7 +225,7 @@ fn span_send_fault_respawns_the_worker_and_heals_the_batch() {
     // injected send failure looks like a worker that died idle, so the
     // pool must reap, respawn, and retry the same span — and the healed
     // batch must be bit-identical.
-    let _armed = arm(9, &[(FP_SPAN_SEND, SiteSpec::once(FailAction::Error))]);
+    let _armed = arm(9, FP_SPAN_SEND, SiteSpec::once(FailAction::Error));
     let mut pool = ProcessPoolOracle::with_workers(spec, 1).expect("1-worker pool");
     pool.set_span_timeout(None);
     let mut stats = SimStats::default();
@@ -258,4 +236,47 @@ fn span_send_fault_respawns_the_worker_and_heals_the_batch() {
         .collect();
     assert_eq!(healed, reference, "healed batch diverged");
     assert!(pool.respawns() >= 1, "the faulted send must cost a respawn");
+}
+
+/// The pool hands the spawning thread's plan to its worker processes
+/// itself: with `ARCHPREDICT_FAILPOINTS` unset in this process, a keyed
+/// `fault.non_finite` clause still reaches the workers' evaluations, and
+/// a pool used with no plan entered injects nothing.
+#[test]
+fn pool_hands_its_plan_to_workers_without_the_parent_env() {
+    worker_binary();
+    assert!(
+        std::env::var_os(ENV_FAILPOINTS).is_none(),
+        "this test needs {ENV_FAILPOINTS} unset in the test process"
+    );
+    let spec = WorkerSpec::Sleepy {
+        study: Study::MemorySystem,
+        sleep_micros: 0,
+    };
+    let space = spec.space();
+    let indices: Vec<usize> = vec![3, 77, 500, 77, 9_000];
+    let run = |pool: &ProcessPoolOracle| {
+        let mut stats = SimStats::default();
+        pool.evaluate_batch(&space, &indices, &mut stats)
+    };
+    let mut pool = ProcessPoolOracle::with_workers(spec, 2).expect("2-worker pool");
+    pool.set_span_timeout(None);
+    assert!(run(&pool).iter().all(Result::is_ok), "no plan, no faults");
+
+    // The workers above were spawned without a plan; a fresh pool spawns
+    // its workers under the plan entered here.
+    let mut faulted =
+        ProcessPoolOracle::with_workers(pool.spec().clone(), 2).expect("2-worker pool");
+    faulted.set_span_timeout(None);
+    let plan = Plan::new(5).keyed(FP_NON_FINITE, 77, SiteSpec::always(FailAction::Error));
+    let _armed = failpoint::enter(Arc::new(plan));
+    let results = run(&faulted);
+    for (&index, result) in indices.iter().zip(&results) {
+        if index == 77 {
+            assert_eq!(*result, Err(SimError::NonFinite), "worker missed the plan");
+        } else {
+            assert!(result.is_ok(), "index {index} faulted: {result:?}");
+        }
+    }
+    assert_eq!(faulted.respawns(), 0);
 }

@@ -7,7 +7,8 @@
 
 use archpredict::crossapp::CrossAppModel;
 use archpredict::explorer::{Explorer, ExplorerConfig};
-use archpredict::fault::{FaultConfig, FaultInjectingOracle};
+use archpredict::failpoint::Plan;
+use archpredict::fault::{self, FaultInjectingOracle};
 use archpredict::report::LearningCurve;
 use archpredict::simulate::{CachedEvaluator, Oracle, PointEvaluator, RetryingOracle, SimStats};
 use archpredict::space::{DesignPoint, DesignSpace};
@@ -52,14 +53,19 @@ impl PointEvaluator for CountingEvaluator {
 
 type Stack = RetryingOracle<FaultInjectingOracle<CachedEvaluator<CountingEvaluator>>>;
 
-fn stack(space: &DesignSpace, fault: FaultConfig, parallelism: Parallelism) -> Stack {
-    RetryingOracle::new(FaultInjectingOracle::with_config(
+/// The default schedule: 10% mixed-mode faults.
+fn default_plan() -> Plan {
+    fault::mixed(0.1, 0xFA_17ED)
+}
+
+fn stack(space: &DesignSpace, plan: Plan, parallelism: Parallelism) -> Stack {
+    RetryingOracle::new(FaultInjectingOracle::new(
         CachedEvaluator::with_parallelism(
             CountingEvaluator::new(space.clone()),
             space.clone(),
             parallelism,
         ),
-        fault,
+        plan,
     ))
 }
 
@@ -82,7 +88,7 @@ proptest! {
         let space = Study::MemorySystem.space();
         let oracle = stack(
             &space,
-            FaultConfig { probability, seed, ..FaultConfig::default() },
+            fault::mixed(probability, seed),
             Parallelism::Fixed(2),
         );
         // Distinct indices plus a duplicated tail.
@@ -120,7 +126,7 @@ fn faulted_config(parallelism: Parallelism) -> ExplorerConfig {
 
 fn run_curve(parallelism: Parallelism) -> (String, Vec<usize>, Vec<f64>) {
     let space = Study::MemorySystem.space();
-    let oracle = stack(&space, FaultConfig::default(), parallelism);
+    let oracle = stack(&space, default_plan(), parallelism);
     let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
     explorer.run();
     let mut curve = LearningCurve::new("counting");
@@ -165,7 +171,7 @@ fn killed_run_resumes_into_identical_curve() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let uninterrupted = {
-        let oracle = stack(&space, FaultConfig::default(), parallelism);
+        let oracle = stack(&space, default_plan(), parallelism);
         let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
         explorer.run();
         for (round_number, round) in explorer.history().iter().enumerate() {
@@ -183,7 +189,7 @@ fn killed_run_resumes_into_identical_curve() {
     };
 
     {
-        let oracle = stack(&space, FaultConfig::default(), parallelism);
+        let oracle = stack(&space, default_plan(), parallelism);
         let mut explorer = Explorer::new(&space, &oracle, faulted_config(parallelism));
         explorer.enable_checkpoints(&dir);
         explorer.try_step().expect("round 1");
@@ -191,7 +197,7 @@ fn killed_run_resumes_into_identical_curve() {
         // is dropped without any shutdown path.
     }
 
-    let oracle = stack(&space, FaultConfig::default(), parallelism);
+    let oracle = stack(&space, default_plan(), parallelism);
     let mut resumed = Explorer::resume(&space, &oracle, faulted_config(parallelism), &dir)
         .expect("resume from checkpoint");
     assert_eq!(resumed.samples(), 25);
@@ -208,11 +214,7 @@ fn crossapp_run(parallelism: Parallelism) -> (CrossAppModel, String, Vec<u64>) {
     let space = Study::MemorySystem.space();
     // A 30% fault rate (distinct schedule per app) forces the pooled
     // sampler through its quarantine-and-resample loop.
-    let fault = |seed: u64| FaultConfig {
-        probability: 0.3,
-        seed,
-        ..FaultConfig::default()
-    };
+    let fault = |seed: u64| fault::mixed(0.3, seed);
     let evaluators = vec![
         (Benchmark::Gzip, stack(&space, fault(0xA9_01), parallelism)),
         (Benchmark::Mcf, stack(&space, fault(0xA9_02), parallelism)),

@@ -5,37 +5,18 @@
 //!
 //! The real-daemon test builds `archpredict-served` on demand (same
 //! profile as this test binary) so the suite passes under plain
-//! `cargo test`. In-process tests that arm failpoints serialize on a
-//! lock because failpoint state is process-global.
+//! `cargo test`. An in-process test arms a failpoint plan by entering it
+//! before binding its server; plans are thread-scoped, so the other
+//! tests' servers never see it.
 
-use archpredict::failpoint::{self, FailAction, SiteSpec};
+use archpredict::failpoint::{self, FailAction, Plan, SiteSpec};
 use archpredict::serve::{http_request, ServeConfig, Server, FP_HANDLER};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-/// Serializes failpoint-armed sections across test threads; the guard
-/// disarms everything on drop (panic included).
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed<'a>(#[allow(dead_code)] MutexGuard<'a, ()>);
-
-impl Drop for Armed<'_> {
-    fn drop(&mut self) {
-        failpoint::clear();
-    }
-}
-
-fn arm(seed: u64, sites: &[(&str, SiteSpec)]) -> Armed<'static> {
-    let guard = TEST_LOCK
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner());
-    failpoint::install(seed, sites);
-    Armed(guard)
-}
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -187,7 +168,9 @@ fn sigterm_drains_in_flight_work_then_a_restart_answers_warm() {
 /// the daemon nor the next request.
 #[test]
 fn handler_panic_is_isolated_counted_and_survivable() {
-    let _armed = arm(1, &[(FP_HANDLER, SiteSpec::once(FailAction::Panic))]);
+    // The server captures the plan active where it is bound.
+    let plan = Plan::new(1).site(FP_HANDLER, SiteSpec::once(FailAction::Panic));
+    let _armed = failpoint::enter(Arc::new(plan));
     let root = temp_root("panic");
     let server = Server::bind(
         "127.0.0.1:0",
@@ -240,9 +223,6 @@ fn raw_request(addr: SocketAddr, request: &str) -> String {
 /// hog disconnects.
 #[test]
 fn saturated_gate_sheds_with_retry_after_and_recovers() {
-    // No failpoints, but hold the lock: another test's armed plan must
-    // not leak panics into this server's handlers.
-    let _guard = arm(0, &[]);
     let root = temp_root("shed");
     let server = Server::bind(
         "127.0.0.1:0",
@@ -294,7 +274,6 @@ fn saturated_gate_sheds_with_retry_after_and_recovers() {
 /// the readiness booleans the supervisor watches.
 #[test]
 fn ready_endpoint_reports_acceptance() {
-    let _guard = arm(0, &[]);
     let root = temp_root("ready");
     let server = Server::bind(
         "127.0.0.1:0",

@@ -4,7 +4,7 @@
 //! loop, and the whole fit is bit-for-bit deterministic at every
 //! parallelism setting.
 
-use archpredict::fault::{FaultConfig, FaultInjectingOracle};
+use archpredict::fault::{self, FaultInjectingOracle};
 use archpredict::multitask::{fit_multitask_oracles, MultiTaskFit};
 use archpredict::simulate::{CachedEvaluator, PointEvaluator, RetryingOracle};
 use archpredict::space::{DesignPoint, DesignSpace};
@@ -108,13 +108,9 @@ fn faulted_heads(space: &DesignSpace, parallelism: Parallelism) -> Vec<FaultedHe
         .into_iter()
         .enumerate()
         .map(|(head, cached)| {
-            RetryingOracle::new(FaultInjectingOracle::with_config(
+            RetryingOracle::new(FaultInjectingOracle::new(
                 cached,
-                FaultConfig {
-                    probability: 0.3,
-                    seed: 0xFA_11 + head as u64,
-                    ..FaultConfig::default()
-                },
+                fault::mixed(0.3, 0xFA_11 + head as u64),
             ))
         })
         .collect()

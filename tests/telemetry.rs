@@ -7,8 +7,7 @@
 //! keeps its JSON shape.
 //!
 //! The trace sink is process-global, so every test that arms or clears
-//! it serializes on a lock and disarms on drop (panic included) — the
-//! same discipline the failpoint tests use.
+//! it serializes on a lock and disarms on drop (panic included).
 
 use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec};
 use archpredict::explorer::{Explorer, ExplorerConfig};
