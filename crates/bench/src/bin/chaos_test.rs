@@ -22,9 +22,11 @@
 //!
 //! ```text
 //! cargo run --release --bin chaos_test -- [--rounds 20] [--clients 4]
-//!     [--requests 6] [--budget 12] [--seed 0xC4A05] [--output-json]
-//!     [--keep-root]
+//!     [--requests 6] [--budget 12] [--seed 0xC4A05] [--keep-root]
 //! ```
+//!
+//! Writes `results/chaos_test.csv` (one row per round) and
+//! `results/chaos_test.json` (run totals and verdicts plus the rows).
 
 use archpredict::campaign::CampaignConfig;
 use archpredict::distributed::{
@@ -125,7 +127,6 @@ fn main() {
     let mut requests = 6usize;
     let mut budget = 12usize;
     let mut seed = 0xC4A05u64;
-    let mut output_json = false;
     let mut keep_root = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -146,7 +147,6 @@ fn main() {
                     None => text.parse().expect("seed"),
                 };
             }
-            "--output-json" => output_json = true,
             "--keep-root" => keep_root = true,
             other => panic!("unknown flag {other}"),
         }
@@ -400,35 +400,33 @@ fn main() {
         ));
     }
     write_artifact(Path::new("results/chaos_test.csv"), &table);
-    if output_json {
-        let mut json = String::from("{\n");
+    let mut json = String::from("{\n");
+    json.push_str(&format!(
+        "  \"seed\": \"{seed:#x}\",\n  \"rounds\": {rounds},\n  \"clients\": {clients},\n  \
+         \"requests_per_client\": {requests},\n  \"budget\": {budget},\n  \
+         \"sigterm_rounds\": {sigterms},\n  \"sigkill_rounds\": {sigkills},\n  \
+         \"requests_ok\": {},\n  \"requests_retried\": {},\n  \"requests_shed\": {},\n  \
+         \"refits\": {},\n  \"worker_respawns\": {worker_respawns},\n  \
+         \"debris_swept_on_reopen\": {},\n  \
+         \"verdicts\": {{\n    \"artifacts_byte_identical\": true,\n    \
+         \"predictions_bit_identical\": true,\n    \"registry_debris_free\": true\n  }},\n",
+        totals.ok.get(),
+        totals.retried.get(),
+        totals.shed.get(),
+        totals.refits.get(),
+        swept.total(),
+    ));
+    json.push_str("  \"rows\": [\n");
+    for (i, (round, kind, ok, retried, shed, refits, wall)) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
-            "  \"seed\": \"{seed:#x}\",\n  \"rounds\": {rounds},\n  \"clients\": {clients},\n  \
-             \"requests_per_client\": {requests},\n  \"budget\": {budget},\n  \
-             \"sigterm_rounds\": {sigterms},\n  \"sigkill_rounds\": {sigkills},\n  \
-             \"requests_ok\": {},\n  \"requests_retried\": {},\n  \"requests_shed\": {},\n  \
-             \"refits\": {},\n  \"worker_respawns\": {worker_respawns},\n  \
-             \"debris_swept_on_reopen\": {},\n  \
-             \"verdicts\": {{\n    \"artifacts_byte_identical\": true,\n    \
-             \"predictions_bit_identical\": true,\n    \"registry_debris_free\": true\n  }},\n",
-            totals.ok.get(),
-            totals.retried.get(),
-            totals.shed.get(),
-            totals.refits.get(),
-            swept.total(),
+            "    {{\"round\": {round}, \"kind\": \"{kind}\", \"ok\": {ok}, \
+             \"retried\": {retried}, \"shed\": {shed}, \"refits\": {refits}, \
+             \"wall_s\": {wall:.3}}}{comma}\n"
         ));
-        json.push_str("  \"rows\": [\n");
-        for (i, (round, kind, ok, retried, shed, refits, wall)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"round\": {round}, \"kind\": \"{kind}\", \"ok\": {ok}, \
-                 \"retried\": {retried}, \"shed\": {shed}, \"refits\": {refits}, \
-                 \"wall_s\": {wall:.3}}}{comma}\n"
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        write_artifact(Path::new("results/chaos_test.json"), &json);
     }
+    json.push_str("  ]\n}\n");
+    write_artifact(Path::new("results/chaos_test.json"), &json);
 
     if keep_root {
         eprintln!("chaos_test: kept scratch tree at {}", scratch.display());

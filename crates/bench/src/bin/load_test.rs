@@ -8,11 +8,11 @@
 //!
 //! ```text
 //! cargo run --release --bin load_test -- [--clients 1,4,16] [--requests N]
-//!     [--chunk N] [--budget N] [--root DIR] [--output-json]
+//!     [--chunk N] [--budget N] [--root DIR]
 //! ```
 //!
-//! `--output-json` writes `results/load_test.json` (machine-readable
-//! mirror of the CSV rows plus run metadata) alongside the CSV.
+//! Writes `results/load_test.csv` and `results/load_test.json` (the CSV
+//! rows plus run metadata).
 
 use archpredict::campaign::CampaignConfig;
 use archpredict::infer;
@@ -82,7 +82,6 @@ fn main() {
     let mut chunk = 64usize;
     let mut budget = 30usize;
     let mut root = String::from("results/registry");
-    let mut output_json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -100,7 +99,6 @@ fn main() {
             "--chunk" => chunk = value("--chunk").parse().expect("number"),
             "--budget" => budget = value("--budget").parse().expect("number"),
             "--root" => root = value("--root"),
-            "--output-json" => output_json = true,
             other => panic!("unknown flag {other}"),
         }
     }
@@ -296,23 +294,21 @@ fn main() {
         table.push_str(&format!("{c},{n},{p50:.3},{p99:.3},{tput:.0}\n"));
     }
     write_artifact(Path::new("results/load_test.csv"), &table);
-    if output_json {
-        let mut json = String::from("{\n");
+    let mut json = String::from("{\n");
+    json.push_str(&format!(
+        "  \"benchmark\": \"{}\",\n  \"study\": \"{}\",\n  \"budget\": {budget},\n  \
+         \"chunk\": {chunk},\n  \"warm_start\": {warm},\n  \
+         \"determinism\": \"served_bit_identical_to_local_inference\",\n  \"rows\": [\n",
+        benchmark.name(),
+        study.name(),
+    ));
+    for (i, (c, n, p50, p99, tput)) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
         json.push_str(&format!(
-            "  \"benchmark\": \"{}\",\n  \"study\": \"{}\",\n  \"budget\": {budget},\n  \
-             \"chunk\": {chunk},\n  \"warm_start\": {warm},\n  \
-             \"determinism\": \"served_bit_identical_to_local_inference\",\n  \"rows\": [\n",
-            benchmark.name(),
-            study.name(),
+            "    {{\"clients\": {c}, \"requests\": {n}, \"p50_ms\": {p50:.3}, \
+             \"p99_ms\": {p99:.3}, \"predictions_per_sec\": {tput:.0}}}{comma}\n"
         ));
-        for (i, (c, n, p50, p99, tput)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"clients\": {c}, \"requests\": {n}, \"p50_ms\": {p50:.3}, \
-                 \"p99_ms\": {p99:.3}, \"predictions_per_sec\": {tput:.0}}}{comma}\n"
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        write_artifact(Path::new("results/load_test.json"), &json);
     }
+    json.push_str("  ]\n}\n");
+    write_artifact(Path::new("results/load_test.json"), &json);
 }

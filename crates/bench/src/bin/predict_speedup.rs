@@ -15,20 +15,18 @@
 //! only check determinism. Usage:
 //!
 //! ```text
-//! cargo run --release --bin predict_speedup [points] [repeats] [--output-json]
+//! cargo run --release --bin predict_speedup [points] [repeats]
 //! ```
 //!
-//! `--output-json` writes `results/predict_speedup.json` (machine-readable
-//! mirror of the CSV rows plus run metadata) alongside the CSV.
+//! Writes `results/predict_speedup.csv` and `results/predict_speedup.json`
+//! through [`archpredict_bench::measure::Report`].
 
 use archpredict::infer::predict_indices;
 use archpredict::studies::Study;
-use archpredict_ann::{fit_ensemble, Dataset, Parallelism, PredictBuffer, Sample, TrainConfig};
-use archpredict_bench::write_artifact;
+use archpredict_ann::{Parallelism, PredictBuffer};
+use archpredict_bench::measure::{self, Best, Report};
+use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
-use archpredict_stats::sampling::sample_without_replacement;
-use std::path::Path;
-use std::time::Instant;
 
 /// Below this many swept points, skip the speedup assertions: the fixed
 /// setup costs of one run dominate and the comparison is noise.
@@ -41,42 +39,17 @@ const SPEEDUP_ASSERT_MIN_POINTS: usize = 4_096;
 const MIN_BATCHED_SPEEDUP: f64 = 4.0;
 
 fn main() {
-    let (flags, positional): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a.starts_with("--"));
-    let output_json = flags.iter().any(|f| f == "--output-json");
-    if let Some(unknown) = flags.iter().find(|f| *f != "--output-json") {
-        panic!("unknown flag {unknown} (supported: --output-json)");
-    }
-    let mut args = positional.into_iter();
-    let points: usize = args
-        .next()
-        .map(|a| a.parse().expect("points must be a number"))
-        .unwrap_or(16_384);
-    let repeats: usize = args
-        .next()
-        .map(|a| a.parse().expect("repeats must be a number"))
-        .unwrap_or(3);
+    let [points, repeats] = measure::positional(
+        std::env::args().skip(1),
+        [("points", 16_384), ("repeats", 3)],
+    );
 
     let space = Study::MemorySystem.space();
     let points = points.min(space.size());
-    let mut rng = Xoshiro256::seed_from(2);
-    // Synthetic targets are fine: inference cost is target-independent.
-    let data: Dataset = sample_without_replacement(space.size(), 300, &mut rng)
-        .into_iter()
-        .map(|i| {
-            let f = space.encode(&space.point(i));
-            let t = 0.5 + 0.3 * f[0];
-            Sample::new(f, t)
-        })
-        .collect();
-    let config = TrainConfig {
-        max_epochs: 100,
-        ..TrainConfig::default()
-    };
-    let fit = fit_ensemble(&data, 10, &config, 3);
+    let fit = measure::synthetic_fit(&space, &mut Xoshiro256::seed_from(2));
     let indices: Vec<usize> = (0..points).collect();
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = measure::cores();
     eprintln!(
         "predict_speedup: {points} points, 10-member ensemble, best of {repeats} runs, \
          {cores} core(s)"
@@ -84,108 +57,73 @@ fn main() {
 
     // Baseline: the pre-kernel path — textbook scalar forward loops, one
     // fresh allocation set per point.
-    let mut baseline = f64::INFINITY;
+    let mut baseline = Best::default();
     let mut reference = Vec::new();
     for _ in 0..repeats {
-        let started = Instant::now();
-        reference = indices
-            .iter()
-            .map(|&i| {
-                fit.ensemble
-                    .predict_reference(&space.encode(&space.point(i)))
-            })
-            .collect();
-        baseline = baseline.min(started.elapsed().as_secs_f64());
+        reference = baseline.time(|| {
+            indices
+                .iter()
+                .map(|&i| {
+                    fit.ensemble
+                        .predict_reference(&space.encode(&space.point(i)))
+                })
+                .collect()
+        });
     }
+    let baseline = baseline.seconds();
 
     // Production per-point path: blocked forward kernel, reused scratch,
     // still one point per call.
-    let mut point_blocked = f64::INFINITY;
+    let mut point_blocked = Best::default();
     for _ in 0..repeats {
         let mut buf = PredictBuffer::default();
         let mut features = Vec::new();
-        let started = Instant::now();
-        let swept: Vec<f64> = indices
-            .iter()
-            .map(|&i| {
-                features.clear();
-                space.encode_into(&space.point(i), &mut features);
-                fit.ensemble.predict_with(&features, &mut buf)
-            })
-            .collect();
-        point_blocked = point_blocked.min(started.elapsed().as_secs_f64());
+        let swept: Vec<f64> = point_blocked.time(|| {
+            indices
+                .iter()
+                .map(|&i| {
+                    features.clear();
+                    space.encode_into(&space.point(i), &mut features);
+                    fit.ensemble.predict_with(&features, &mut buf)
+                })
+                .collect()
+        });
         assert_eq!(
             reference, swept,
             "per-point blocked path diverged from the reference predictions"
         );
     }
 
-    // Thread counts: 1, 2, 4, ... up to the core count.
-    let mut thread_counts = vec![1usize];
-    let mut t = 2;
-    while t < cores {
-        thread_counts.push(t);
-        t *= 2;
-    }
-    if cores > 1 {
-        thread_counts.push(cores);
-    }
-
-    let mut rows = vec![
-        ("point_at_a_time".to_string(), baseline, 1.0),
-        (
-            "point_blocked".to_string(),
-            point_blocked,
-            baseline / point_blocked,
-        ),
-    ];
-    let mut batched_1 = f64::NAN;
-    for &threads in &thread_counts {
-        let mut best = f64::INFINITY;
+    let mut report = Report::new("predict_speedup");
+    report
+        .meta("study", Value::Str(Study::MemorySystem.name().into()))
+        .meta("points", Value::Num(points as f64))
+        .meta("repeats", Value::Num(repeats as f64))
+        .meta("ensemble_members", Value::Num(10.0))
+        .meta("determinism", Value::Str("bit_identical_all_paths".into()))
+        .row("point_at_a_time", baseline, "point_at_a_time")
+        .row("point_blocked", point_blocked.seconds(), "point_at_a_time");
+    for threads in measure::thread_ladder(cores) {
+        let mut best = Best::default();
         for _ in 0..repeats {
-            let started = Instant::now();
-            let swept =
-                predict_indices(&fit.ensemble, &space, &indices, Parallelism::Fixed(threads));
-            best = best.min(started.elapsed().as_secs_f64());
+            let swept = best.time(|| {
+                predict_indices(&fit.ensemble, &space, &indices, Parallelism::Fixed(threads))
+            });
             assert_eq!(
                 reference, swept,
                 "{threads}-thread sweep diverged from the point-at-a-time predictions"
             );
         }
-        if threads == 1 {
-            batched_1 = best;
-        }
-        rows.push((format!("batched_{threads}"), best, baseline / best));
+        report.row(
+            format!("batched_{threads}"),
+            best.seconds(),
+            "point_at_a_time",
+        );
     }
-
-    let mut table = String::from("path,seconds,speedup_vs_baseline\n");
-    eprintln!("{:>18} {:>10} {:>8}", "path", "seconds", "speedup");
-    for (path, seconds, speedup) in &rows {
-        eprintln!("{path:>18} {seconds:>10.4} {speedup:>7.2}x");
-        table.push_str(&format!("{path},{seconds:.6},{speedup:.3}\n"));
-    }
+    report.write();
     eprintln!("(every path produced bit-for-bit identical predictions)");
-    write_artifact(Path::new("results/predict_speedup.csv"), &table);
 
-    if output_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"study\": \"{}\",\n  \"points\": {points},\n  \"repeats\": {repeats},\n  \
-             \"cores\": {cores},\n  \"ensemble_members\": 10,\n  \
-             \"determinism\": \"bit_identical_all_paths\",\n  \"rows\": [\n",
-            Study::MemorySystem.name(),
-        ));
-        for (i, (path, seconds, speedup)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"path\": \"{path}\", \"seconds\": {seconds:.6}, \
-                 \"speedup_vs_baseline\": {speedup:.3}}}{comma}\n"
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        write_artifact(Path::new("results/predict_speedup.json"), &json);
-    }
-
+    let batched_1 = report.seconds("batched_1").expect("1 is the first rung");
     if points >= SPEEDUP_ASSERT_MIN_POINTS {
         let speedup = baseline / batched_1;
         assert!(

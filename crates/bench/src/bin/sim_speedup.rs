@@ -14,11 +14,11 @@
 //! only on machines with enough cores. Usage:
 //!
 //! ```text
-//! cargo run --release --bin sim_speedup [unique_points] [dup_factor] [repeats] [--output-json]
+//! cargo run --release --bin sim_speedup [unique_points] [dup_factor] [repeats]
 //! ```
 //!
-//! `--output-json` writes `results/sim_speedup.json` (machine-readable
-//! mirror of the CSV rows plus run metadata) alongside the CSV.
+//! Writes `results/sim_speedup.csv` and `results/sim_speedup.json` through
+//! [`archpredict_bench::measure::Report`]; every row's baseline is `naive`.
 
 use archpredict::distributed::{locate_worker_binary, ProcessPoolOracle, WorkerSpec};
 use archpredict::simulate::{
@@ -26,11 +26,10 @@ use archpredict::simulate::{
 };
 use archpredict::studies::Study;
 use archpredict_ann::Parallelism;
-use archpredict_bench::write_artifact;
+use archpredict_bench::measure::{self, Best, Report};
+use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
 use archpredict_workloads::{Benchmark, TraceGenerator};
-use std::path::Path;
-use std::time::Instant;
 
 /// Below this many total evaluations, skip the cached-beats-naive
 /// assertion: fixed setup costs dominate and the comparison is noise.
@@ -41,25 +40,10 @@ const SPEEDUP_ASSERT_MIN_EVALS: usize = 96;
 const PARALLEL_ASSERT_MIN_CORES: usize = 4;
 
 fn main() {
-    let (flags, positional): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a.starts_with("--"));
-    let output_json = flags.iter().any(|f| f == "--output-json");
-    if let Some(unknown) = flags.iter().find(|f| *f != "--output-json") {
-        panic!("unknown flag {unknown} (supported: --output-json)");
-    }
-    let mut args = positional.into_iter();
-    let unique_points: usize = args
-        .next()
-        .map(|a| a.parse().expect("unique_points must be a number"))
-        .unwrap_or(48);
-    let dup_factor: usize = args
-        .next()
-        .map(|a| a.parse().expect("dup_factor must be a number"))
-        .unwrap_or(3);
-    let repeats: usize = args
-        .next()
-        .map(|a| a.parse().expect("repeats must be a number"))
-        .unwrap_or(3);
+    let [unique_points, dup_factor, repeats] = measure::positional(
+        std::env::args().skip(1),
+        [("unique_points", 48), ("dup_factor", 3), ("repeats", 3)],
+    );
     assert!(unique_points > 0 && dup_factor > 0 && repeats > 0);
 
     let study = Study::MemorySystem;
@@ -81,7 +65,7 @@ fn main() {
     let mut rng = Xoshiro256::seed_from(7);
     archpredict_stats::sampling::shuffle(&mut indices, &mut rng);
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = measure::cores();
     eprintln!(
         "sim_speedup: {} evaluations ({unique_points} unique × {dup_factor}), \
          best of {repeats} runs, {cores} core(s)",
@@ -90,40 +74,36 @@ fn main() {
 
     // Reference: the naive loop — every occurrence simulated, no cache.
     let naive_eval = evaluator();
-    let mut baseline = f64::INFINITY;
+    let mut baseline = Best::default();
     let mut reference = Vec::new();
     for _ in 0..repeats {
-        let started = Instant::now();
-        reference = indices
-            .iter()
-            .map(|&i| naive_eval.evaluate(&space.point(i)))
-            .collect();
-        baseline = baseline.min(started.elapsed().as_secs_f64());
+        reference = baseline.time(|| {
+            indices
+                .iter()
+                .map(|&i| naive_eval.evaluate(&space.point(i)))
+                .collect()
+        });
     }
+    let baseline = baseline.seconds();
 
-    // Thread counts: 1, 2, 4, ... up to the core count, plus Auto.
-    let mut thread_counts = vec![1usize];
-    let mut t = 2;
-    while t < cores {
-        thread_counts.push(t);
-        t *= 2;
-    }
-    if cores > 1 {
-        thread_counts.push(cores);
-    }
-
-    let mut rows = vec![("naive".to_string(), baseline, 1.0)];
-    let mut cached_1 = f64::NAN;
-    let mut run_cached = |label: String, parallelism: Parallelism| -> f64 {
-        let mut best = f64::INFINITY;
+    let mut report = Report::new("sim_speedup");
+    report
+        .meta("benchmark", Value::Str(benchmark.name().into()))
+        .meta("study", Value::Str(study.name().into()))
+        .meta("evaluations", Value::Num(indices.len() as f64))
+        .meta("unique_points", Value::Num(unique_points as f64))
+        .meta("dup_factor", Value::Num(dup_factor as f64))
+        .meta("repeats", Value::Num(repeats as f64))
+        .meta("determinism", Value::Str("bit_identical_all_paths".into()))
+        .row("naive", baseline, "naive");
+    let run_cached = |parallelism: Parallelism, label: &str| -> f64 {
+        let mut best = Best::default();
         for _ in 0..repeats {
             // A fresh cache each run: the timed work is one cold batch
             // (dedup + fan-out + inserts), not cache replay.
             let cached = CachedEvaluator::with_parallelism(evaluator(), space.clone(), parallelism);
             let mut stats = SimStats::default();
-            let started = Instant::now();
-            let results = cached.evaluate_batch(&space, &indices, &mut stats);
-            best = best.min(started.elapsed().as_secs_f64());
+            let results = best.time(|| cached.evaluate_batch(&space, &indices, &mut stats));
             let results: Vec<f64> = results
                 .into_iter()
                 .map(|r| r.expect("fault-free evaluator"))
@@ -139,23 +119,28 @@ fn main() {
                 "in-batch duplicates must be served without simulating"
             );
         }
-        rows.push((label, best, baseline / best));
-        best
+        best.seconds()
     };
-    for &threads in &thread_counts {
-        let best = run_cached(format!("cached_{threads}"), Parallelism::Fixed(threads));
-        if threads == 1 {
-            cached_1 = best;
+    // Thread counts: 1, 2, 4, ... up to the core count, plus Auto.
+    let mut cached_multi = Best::default();
+    for threads in measure::thread_ladder(cores) {
+        let label = format!("cached_{threads}");
+        let best = run_cached(Parallelism::Fixed(threads), &label);
+        report.row(label, best, "naive");
+        if threads > 1 {
+            cached_multi.record(best);
         }
     }
-    run_cached("cached_auto".to_string(), Parallelism::Auto);
+    let cached_1 = report.seconds("cached_1").expect("1 is the first rung");
+    let auto = run_cached(Parallelism::Auto, "cached_auto");
+    report.row("cached_auto", auto, "naive");
+    cached_multi.record(auto);
 
     // Process-pool section: the distributed oracle over the same work
     // list, raw (no cache), at 0 (in-process fallback), 1, 2 and 4 worker
     // processes. Every count is checked bit-for-bit against the naive
     // reference — that check stays armed on any host, 1-core CI included;
     // only the speedup assertions below are core-gated.
-    let mut pool_times: Vec<(usize, f64)> = Vec::new();
     let pool_spec = WorkerSpec::Study {
         study,
         benchmark,
@@ -173,16 +158,16 @@ fn main() {
         for workers in [0usize, 1, 2, 4] {
             let pool = ProcessPoolOracle::with_workers(pool_spec.clone(), workers)
                 .expect("worker binary located above");
-            let mut best = f64::INFINITY;
+            let mut best = Best::default();
             for run in 0..=repeats {
                 let mut stats = SimStats::default();
-                let started = Instant::now();
-                let results = pool.evaluate_batch(&space, &indices, &mut stats);
+                let (seconds, results) =
+                    measure::timed(|| pool.evaluate_batch(&space, &indices, &mut stats));
                 // Run 0 is an untimed warmup: it pays the one-off worker
                 // spawn + handshake cost so the timed runs measure the
                 // steady-state pipe protocol, same as a campaign sees.
                 if run > 0 {
-                    best = best.min(started.elapsed().as_secs_f64());
+                    best.record(seconds);
                 }
                 let values: Vec<f64> = results
                     .into_iter()
@@ -194,46 +179,14 @@ fn main() {
                 );
                 assert_eq!(pool.respawns(), 0, "pool_{workers} respawned a worker");
             }
-            rows.push((format!("pool_{workers}"), best, baseline / best));
-            pool_times.push((workers, best));
+            report.row(format!("pool_{workers}"), best.seconds(), "naive");
         }
         eprintln!("(every worker count produced bit-for-bit identical results)");
     }
 
-    let mut table = String::from("path,seconds,speedup_vs_naive\n");
-    eprintln!("{:>14} {:>10} {:>8}", "path", "seconds", "speedup");
-    for (path, seconds, speedup) in &rows {
-        eprintln!("{path:>14} {seconds:>10.4} {speedup:>7.2}x");
-        table.push_str(&format!("{path},{seconds:.6},{speedup:.3}\n"));
-    }
+    report.meta("pool_section", Value::Bool(pool_available));
+    report.write();
     eprintln!("(every thread count produced bit-for-bit identical results)");
-    write_artifact(Path::new("results/sim_speedup.csv"), &table);
-    if output_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"benchmark\": \"{}\",\n  \"study\": \"{}\",\n  \"evaluations\": {},\n  \
-             \"unique_points\": {},\n  \"dup_factor\": {},\n  \"repeats\": {},\n  \
-             \"cores\": {},\n  \"pool_section\": {},\n  \
-             \"determinism\": \"bit_identical_all_paths\",\n  \"rows\": [\n",
-            benchmark.name(),
-            study.name(),
-            indices.len(),
-            unique_points,
-            dup_factor,
-            repeats,
-            cores,
-            pool_available,
-        ));
-        for (i, (path, seconds, speedup)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"path\": \"{path}\", \"seconds\": {seconds:.6}, \
-                 \"speedup_vs_naive\": {speedup:.3}}}{comma}\n"
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        write_artifact(Path::new("results/sim_speedup.json"), &json);
-    }
 
     if indices.len() >= SPEEDUP_ASSERT_MIN_EVALS && dup_factor >= 2 {
         assert!(
@@ -245,11 +198,7 @@ fn main() {
         eprintln!("(smoke run: cached-beats-naive assertion skipped)");
     }
     if cores >= PARALLEL_ASSERT_MIN_CORES && indices.len() >= SPEEDUP_ASSERT_MIN_EVALS {
-        let cached_multi = rows
-            .iter()
-            .filter(|(p, ..)| p.starts_with("cached_") && p != "cached_1")
-            .map(|&(_, s, _)| s)
-            .fold(f64::INFINITY, f64::min);
+        let cached_multi = cached_multi.seconds();
         assert!(
             cached_multi < cached_1 / 1.5,
             "parallel cached batch ({cached_multi:.4}s) should be at least 1.5x the \
@@ -260,10 +209,8 @@ fn main() {
     }
     if pool_available {
         let pool_at = |w: usize| {
-            pool_times
-                .iter()
-                .find(|&&(workers, _)| workers == w)
-                .map(|&(_, s)| s)
+            report
+                .seconds(&format!("pool_{w}"))
                 .expect("pool row measured above")
         };
         if cores >= PARALLEL_ASSERT_MIN_CORES && indices.len() >= SPEEDUP_ASSERT_MIN_EVALS {

@@ -17,19 +17,18 @@
 //! ```
 //!
 //! Writes `results/telemetry_overhead.csv` and
-//! `results/telemetry_overhead.json` unconditionally: this bench *is*
-//! the machine-readable evidence for the overhead claim.
+//! `results/telemetry_overhead.json` through
+//! [`archpredict_bench::measure::Report`]: each leg's armed row has the
+//! disarmed row as its baseline, and the JSON carries each leg's overhead.
 
 use archpredict::infer::predict_indices;
 use archpredict::simulate::{CachedEvaluator, Oracle, SimBudget, SimStats, StudyEvaluator};
 use archpredict::studies::Study;
 use archpredict::telemetry;
-use archpredict_ann::{fit_ensemble, Dataset, Parallelism, Sample, TrainConfig};
-use archpredict_bench::write_artifact;
+use archpredict_ann::Parallelism;
+use archpredict_bench::measure::{self, Best, Report};
+use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
-use archpredict_stats::sampling::sample_without_replacement;
-use std::path::Path;
-use std::time::Instant;
 
 /// Maximum tolerated slowdown of the armed run over the disarmed run.
 const MAX_OVERHEAD_PCT: f64 = 2.0;
@@ -39,32 +38,11 @@ const MAX_OVERHEAD_PCT: f64 = 2.0;
 /// gate is skipped (same policy as the speedup benches).
 const ASSERT_MIN_POINTS: usize = 4_096;
 
-struct Leg {
-    name: &'static str,
-    disarmed: f64,
-    armed: f64,
-}
-
-impl Leg {
-    fn overhead_pct(&self) -> f64 {
-        (self.armed / self.disarmed - 1.0) * 100.0
-    }
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let points: usize = args
-        .next()
-        .map(|a| a.parse().expect("points must be a number"))
-        .unwrap_or(8_192);
-    let sweeps: usize = args
-        .next()
-        .map(|a| a.parse().expect("sweeps must be a number"))
-        .unwrap_or(8);
-    let repeats: usize = args
-        .next()
-        .map(|a| a.parse().expect("repeats must be a number"))
-        .unwrap_or(5);
+    let [points, sweeps, repeats] = measure::positional(
+        std::env::args().skip(1),
+        [("points", 8_192), ("sweeps", 8), ("repeats", 5)],
+    );
     assert!(points > 0 && sweeps > 0 && repeats > 0);
 
     // The trace sink is process-global; this bench owns it for the whole
@@ -88,34 +66,22 @@ fn main() {
 
     // ---- Predict leg: the batched inference sweep. ----
     let mut rng = Xoshiro256::seed_from(2);
-    let data: Dataset = sample_without_replacement(space.size(), 300, &mut rng)
-        .into_iter()
-        .map(|i| {
-            let f = space.encode(&space.point(i));
-            let t = 0.5 + 0.3 * f[0];
-            Sample::new(f, t)
-        })
-        .collect();
-    let config = TrainConfig {
-        max_epochs: 100,
-        ..TrainConfig::default()
-    };
-    let fit = fit_ensemble(&data, 10, &config, 3);
+    let fit = measure::synthetic_fit(&space, &mut rng);
     let indices: Vec<usize> = (0..points).collect();
     // `sweeps` separate calls per timed region: each call is one
     // `infer.sweep` span, so the armed run pays `sweeps` JSONL appends —
     // the per-call cost is what the gate bounds, not one amortized line.
     let run_predict = || -> (f64, Vec<f64>) {
-        let mut best = f64::INFINITY;
+        let mut best = Best::default();
         let mut last = Vec::new();
         for _ in 0..repeats {
-            let started = Instant::now();
-            for _ in 0..sweeps {
-                last = predict_indices(&fit.ensemble, &space, &indices, Parallelism::Fixed(1));
-            }
-            best = best.min(started.elapsed().as_secs_f64());
+            best.time(|| {
+                for _ in 0..sweeps {
+                    last = predict_indices(&fit.ensemble, &space, &indices, Parallelism::Fixed(1));
+                }
+            });
         }
-        (best, last)
+        (best.seconds(), last)
     };
     let (predict_disarmed, reference) = run_predict();
     telemetry::install_trace(&trace_path).expect("arm trace sink");
@@ -145,7 +111,7 @@ fn main() {
     }
     archpredict_stats::sampling::shuffle(&mut sim_indices, &mut rng);
     let run_sim = || -> (f64, SimStats) {
-        let mut best = f64::INFINITY;
+        let mut best = Best::default();
         let mut last = SimStats::default();
         for _ in 0..repeats {
             let cached = CachedEvaluator::with_parallelism(
@@ -154,13 +120,11 @@ fn main() {
                 Parallelism::Fixed(1),
             );
             let mut stats = SimStats::default();
-            let started = Instant::now();
-            let results = cached.evaluate_batch(&space, &sim_indices, &mut stats);
-            best = best.min(started.elapsed().as_secs_f64());
+            let results = best.time(|| cached.evaluate_batch(&space, &sim_indices, &mut stats));
             assert!(results.iter().all(Result::is_ok));
             last = stats;
         }
-        (best, last)
+        (best.seconds(), last)
     };
     let (sim_disarmed, stats_disarmed) = run_sim();
     telemetry::install_trace(&trace_path).expect("re-arm trace sink");
@@ -186,71 +150,40 @@ fn main() {
     let _ = std::fs::remove_file(&trace_path);
 
     let legs = [
-        Leg {
-            name: "predict_sweep",
-            disarmed: predict_disarmed,
-            armed: predict_armed,
-        },
-        Leg {
-            name: "sim_batch",
-            disarmed: sim_disarmed,
-            armed: sim_armed,
-        },
+        ("predict_sweep", predict_disarmed, predict_armed),
+        ("sim_batch", sim_disarmed, sim_armed),
     ];
-
-    eprintln!(
-        "{:>14} {:>12} {:>12} {:>9}",
-        "leg", "disarmed s", "armed s", "overhead"
-    );
-    let mut table = String::from("leg,disarmed_seconds,armed_seconds,overhead_pct\n");
-    for leg in &legs {
-        eprintln!(
-            "{:>14} {:>12.4} {:>12.4} {:>8.2}%",
-            leg.name,
-            leg.disarmed,
-            leg.armed,
-            leg.overhead_pct()
+    let overhead_pct = |disarmed: f64, armed: f64| (armed / disarmed - 1.0) * 100.0;
+    let mut report = Report::new("telemetry_overhead");
+    report
+        .meta("points", Value::Num(points as f64))
+        .meta("sweeps", Value::Num(sweeps as f64))
+        .meta("repeats", Value::Num(repeats as f64))
+        .meta("span_events_observed", Value::Num(span_lines as f64))
+        .meta("max_overhead_pct", Value::Num(MAX_OVERHEAD_PCT))
+        .meta(
+            "determinism",
+            Value::Str("bit_identical_armed_vs_disarmed".into()),
         );
-        table.push_str(&format!(
-            "{},{:.6},{:.6},{:.3}\n",
-            leg.name,
-            leg.disarmed,
-            leg.armed,
-            leg.overhead_pct()
-        ));
+    for &(leg, disarmed, armed) in &legs {
+        let baseline = format!("{leg}_disarmed");
+        report
+            .meta(
+                &format!("{leg}_overhead_pct"),
+                Value::num(overhead_pct(disarmed, armed)),
+            )
+            .row(baseline.clone(), disarmed, &baseline)
+            .row(format!("{leg}_armed"), armed, &baseline);
     }
-    write_artifact(Path::new("results/telemetry_overhead.csv"), &table);
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"points\": {points},\n  \"sweeps\": {sweeps},\n  \"repeats\": {repeats},\n  \
-         \"span_events_observed\": {span_lines},\n  \
-         \"max_overhead_pct\": {MAX_OVERHEAD_PCT},\n  \
-         \"determinism\": \"bit_identical_armed_vs_disarmed\",\n  \"rows\": [\n"
-    ));
-    for (i, leg) in legs.iter().enumerate() {
-        let comma = if i + 1 < legs.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"leg\": \"{}\", \"disarmed_seconds\": {:.6}, \"armed_seconds\": {:.6}, \
-             \"overhead_pct\": {:.3}}}{comma}\n",
-            leg.name,
-            leg.disarmed,
-            leg.armed,
-            leg.overhead_pct()
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    write_artifact(Path::new("results/telemetry_overhead.json"), &json);
+    report.write();
 
     if points >= ASSERT_MIN_POINTS {
-        for leg in &legs {
-            let overhead = leg.overhead_pct();
+        for &(leg, disarmed, armed) in &legs {
+            let overhead = overhead_pct(disarmed, armed);
             assert!(
                 overhead < MAX_OVERHEAD_PCT,
-                "{} leg: armed run is {overhead:.2}% slower than disarmed \
-                 ({:.4}s vs {:.4}s); telemetry must stay under {MAX_OVERHEAD_PCT}%",
-                leg.name,
-                leg.armed,
-                leg.disarmed
+                "{leg} leg: armed run is {overhead:.2}% slower than disarmed \
+                 ({armed:.4}s vs {disarmed:.4}s); telemetry must stay under {MAX_OVERHEAD_PCT}%"
             );
         }
         eprintln!("overhead gate: both legs under {MAX_OVERHEAD_PCT}% (best of {repeats})");

@@ -13,17 +13,16 @@
 //!    multi-thread assertion necessarily stays gated on having ≥4 cores.
 //!
 //! ```text
-//! cargo run --release --bin train_speedup [samples] [repeats] [--output-json]
+//! cargo run --release --bin train_speedup [samples] [repeats]
 //! ```
 //!
-//! `--output-json` writes `results/train_speedup.json` (machine-readable
-//! mirror of the CSV rows plus run metadata) alongside the CSV.
+//! Writes `results/train_speedup.csv` and `results/train_speedup.json`
+//! through [`archpredict_bench::measure::Report`].
 
 use archpredict_ann::{fit_ensemble, CvFit, Dataset, Network, Parallelism, Sample, TrainConfig};
-use archpredict_bench::write_artifact;
+use archpredict_bench::measure::{self, Best, Report};
+use archpredict_stats::json::Value;
 use archpredict_stats::rng::Xoshiro256;
-use std::path::Path;
-use std::time::Instant;
 
 /// Required speedup of the vectorized backprop step over the scalar
 /// reference. Conservative: the restructured loops deliver well above
@@ -74,42 +73,30 @@ fn run_trainer(
             (x, t)
         })
         .collect();
-    let started = Instant::now();
-    let mut sink = 0.0;
-    for i in 0..steps {
-        let (x, t) = &examples[i % examples.len()];
-        sink += step(&mut net, x, t);
-    }
+    let (seconds, sink) = measure::timed(|| {
+        let mut sink = 0.0;
+        for i in 0..steps {
+            let (x, t) = &examples[i % examples.len()];
+            sink += step(&mut net, x, t);
+        }
+        sink
+    });
     assert!(sink.is_finite(), "training error diverged");
-    (started.elapsed().as_secs_f64(), net)
+    (seconds, net)
 }
 
 fn main() {
-    let (flags, positional): (Vec<String>, Vec<String>) =
-        std::env::args().skip(1).partition(|a| a.starts_with("--"));
-    let output_json = flags.iter().any(|f| f == "--output-json");
-    if let Some(unknown) = flags.iter().find(|f| *f != "--output-json") {
-        panic!("unknown flag {unknown} (supported: --output-json)");
-    }
-    let mut args = positional.into_iter();
-    let samples: usize = args
-        .next()
-        .map(|a| a.parse().expect("samples must be a number"))
-        .unwrap_or(200);
-    let repeats: usize = args
-        .next()
-        .map(|a| a.parse().expect("repeats must be a number"))
-        .unwrap_or(3);
+    let [samples, repeats] =
+        measure::positional(std::env::args().skip(1), [("samples", 200), ("repeats", 3)]);
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
+    let cores = measure::cores();
 
     // --- Kernel section: scalar reference vs vectorized backprop. ---
     let steps = (samples * 1000).max(KERNEL_ASSERT_MIN_STEPS.min(200_000));
     eprintln!("train_speedup kernel section: {steps} presentations, [3,16,1] network");
     let mut rng = Xoshiro256::seed_from(9);
     let fresh = Network::new(&[3, 16, 1], &mut rng);
-    let (mut ref_best, mut vec_best) = (f64::INFINITY, f64::INFINITY);
+    let (mut ref_best, mut vec_best) = (Best::default(), Best::default());
     let mut nets: Option<(Network, Network)> = None;
     for _ in 0..repeats {
         let (t_ref, net_ref) = run_trainer(steps, fresh.clone(), |n, x, t| {
@@ -118,22 +105,26 @@ fn main() {
         let (t_vec, net_vec) = run_trainer(steps, fresh.clone(), |n, x, t| {
             n.train_example(x, t, 0.1, 0.5)
         });
-        ref_best = ref_best.min(t_ref);
-        vec_best = vec_best.min(t_vec);
+        ref_best.record(t_ref);
+        vec_best.record(t_vec);
         nets = Some((net_ref, net_vec));
     }
+    let (ref_best, vec_best) = (ref_best.seconds(), vec_best.seconds());
     let (net_ref, net_vec) = nets.expect("at least one repeat");
     assert_eq!(
         net_ref, net_vec,
         "vectorized trainer diverged from the scalar reference"
     );
     eprintln!("(vectorized and reference trainers produced bit-for-bit identical networks)");
-    rows.push(("train_step_reference".into(), ref_best, 1.0));
-    rows.push((
-        "train_step_vectorized".into(),
-        vec_best,
-        ref_best / vec_best,
-    ));
+    let mut report = Report::new("train_speedup");
+    report
+        .meta("samples", Value::Num(samples as f64))
+        .meta("kernel_steps", Value::Num(steps as f64))
+        .meta("repeats", Value::Num(repeats as f64))
+        .meta("folds", Value::Num(10.0))
+        .meta("determinism", Value::Str("bit_identical_all_paths".into()))
+        .row("train_step_reference", ref_best, "train_step_reference")
+        .row("train_step_vectorized", vec_best, "train_step_reference");
 
     // --- Parallel-fit section. ---
     let data = dataset(samples);
@@ -144,69 +135,36 @@ fn main() {
         ..TrainConfig::default()
     };
 
-    // Thread counts: 1, 2, 4, ... up to the core count (always including
-    // the core count itself, and 10 = fold count if the machine is bigger).
-    let mut thread_counts = vec![1usize];
-    let mut t = 2;
-    while t < cores.min(10) {
-        thread_counts.push(t);
-        t *= 2;
-    }
-    if cores > 1 {
-        thread_counts.push(cores.min(10));
-    }
-
     eprintln!(
         "train_speedup fit section: {samples} samples, 10 folds, best of {repeats} runs, \
          {cores} core(s)"
     );
     let reference = fit_ensemble(&data, 10, &config_with(Parallelism::Fixed(1)), 7);
 
-    let mut fit_baseline = f64::NAN;
-    for &threads in &thread_counts {
+    // Thread counts up to the core count, capped at 10 = the fold count.
+    let (mut fit_1, mut best_fit_speedup) = (f64::NAN, 0.0f64);
+    for threads in measure::thread_ladder(cores.min(10)) {
         let config = config_with(Parallelism::Fixed(threads));
-        let mut best = f64::INFINITY;
+        let mut best = Best::default();
         for _ in 0..repeats {
-            let started = Instant::now();
-            let fit = fit_ensemble(&data, 10, &config, 7);
-            best = best.min(started.elapsed().as_secs_f64());
+            let fit = best.time(|| fit_ensemble(&data, 10, &config, 7));
             assert!(
                 fits_match(&reference, &fit),
                 "{threads}-thread fit diverged from the sequential fit"
             );
         }
         if threads == 1 {
-            fit_baseline = best;
+            fit_1 = best.seconds();
         }
-        rows.push((format!("fit_threads_{threads}"), best, fit_baseline / best));
+        best_fit_speedup = best_fit_speedup.max(fit_1 / best.seconds());
+        report.row(
+            format!("fit_threads_{threads}"),
+            best.seconds(),
+            "fit_threads_1",
+        );
     }
     eprintln!("(all thread counts produced bit-for-bit identical fits)");
-
-    let mut table = String::from("path,seconds,speedup_vs_baseline\n");
-    eprintln!("{:>22} {:>10} {:>8}", "path", "seconds", "speedup");
-    for (path, seconds, speedup) in &rows {
-        eprintln!("{path:>22} {seconds:>10.4} {speedup:>7.2}x");
-        table.push_str(&format!("{path},{seconds:.6},{speedup:.3}\n"));
-    }
-    write_artifact(Path::new("results/train_speedup.csv"), &table);
-
-    if output_json {
-        let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"samples\": {samples},\n  \"kernel_steps\": {steps},\n  \
-             \"repeats\": {repeats},\n  \"cores\": {cores},\n  \"folds\": 10,\n  \
-             \"determinism\": \"bit_identical_all_paths\",\n  \"rows\": [\n"
-        ));
-        for (i, (path, seconds, speedup)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            json.push_str(&format!(
-                "    {{\"path\": \"{path}\", \"seconds\": {seconds:.6}, \
-                 \"speedup_vs_baseline\": {speedup:.3}}}{comma}\n"
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        write_artifact(Path::new("results/train_speedup.json"), &json);
-    }
+    report.write();
 
     if steps >= KERNEL_ASSERT_MIN_STEPS {
         let kernel_speedup = ref_best / vec_best;
@@ -223,14 +181,9 @@ fn main() {
         eprintln!("(smoke run: <{KERNEL_ASSERT_MIN_STEPS} steps, kernel gate skipped)");
     }
     if cores >= 4 {
-        let best = rows
-            .iter()
-            .filter(|r| r.0.starts_with("fit_threads"))
-            .map(|r| r.2)
-            .fold(0.0, f64::max);
         assert!(
-            best >= 2.0,
-            "expected >=2x fit speedup with {cores} cores, best was {best:.2}x"
+            best_fit_speedup >= 2.0,
+            "expected >=2x fit speedup with {cores} cores, best was {best_fit_speedup:.2}x"
         );
     }
 }

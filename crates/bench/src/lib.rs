@@ -16,14 +16,30 @@
 //! | `fig_5_8`    | Fig. 5.8 (ensemble training time vs training-set size) |
 //! | `pb_ranking` | §4's Plackett–Burman parameter-significance check      |
 //!
-//! All binaries share [`ExperimentOpts`] (a tiny `--flag value` parser) and
-//! default to *scaled* experiments sized for a laptop: true error is
-//! measured on a fixed random held-out subset rather than the entire space,
-//! and learning curves use coarser batch steps. `--full` restores
-//! paper-scale settings where feasible. Outputs are printed as aligned
-//! tables and written as CSV under `results/`.
+//! The figure binaries share [`ExperimentOpts`] (a tiny `--flag value`
+//! parser) and default to *scaled* experiments sized for a laptop: true
+//! error is measured on a fixed random held-out subset rather than the
+//! entire space, and learning curves use coarser batch steps. `--full`
+//! restores paper-scale settings where feasible. Outputs are printed as
+//! aligned tables and written as CSV under `results/`.
+//!
+//! The gate binaries measure the implementation itself and assert on it:
+//!
+//! | binary               | gate                                                    |
+//! |----------------------|---------------------------------------------------------|
+//! | `predict_speedup`    | batched inference ≥4x the scalar reference, identical   |
+//! | `train_speedup`      | vectorized backprop ≥1.2x the reference, identical fits |
+//! | `sim_speedup`        | cached and pooled batches identical to the naive loop   |
+//! | `telemetry_overhead` | armed trace sink <2% over disarmed, identical results   |
+//! | `load_test`          | served predictions identical to local inference         |
+//! | `chaos_test`         | every request answered or shed under injected faults    |
+//! | `fault_tolerance`    | full budgets, resume and identical CSVs under faults    |
+//!
+//! The first four share [`measure`]: best-of-N timing, the thread ladder,
+//! positional arguments and one CSV/JSON row layout.
 
 pub mod daemon;
+pub mod measure;
 pub mod opts;
 pub mod runner;
 

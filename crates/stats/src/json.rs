@@ -1,13 +1,12 @@
 //! Minimal self-contained JSON reading and writing.
 //!
 //! The workspace builds in environments with no access to crates.io, so
-//! model persistence (trained networks, simulation caches) uses this small
+//! model persistence (trained networks) uses this small
 //! JSON module instead of an external serialization framework. Floats are
 //! written with Rust's shortest round-trip formatting (`{:?}`), so a
 //! value → text → value trip reproduces every `f64` bit-for-bit; non-finite
 //! floats are written as `null`.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// A JSON document.
@@ -178,37 +177,6 @@ impl Value {
     pub fn from_f64s(xs: &[f64]) -> Value {
         Value::Array(xs.iter().map(|&x| Value::num(x)).collect())
     }
-}
-
-/// Serializes a point-index → value map (a simulation cache).
-pub fn map_to_json(map: &HashMap<usize, f64>) -> String {
-    let mut entries: Vec<(&usize, &f64)> = map.iter().collect();
-    entries.sort_by_key(|(k, _)| **k);
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), Value::num(*v)))
-            .collect(),
-    )
-    .to_json()
-}
-
-/// Parses a point-index → value map written by [`map_to_json`] (or any JSON
-/// object whose keys are integers and values numbers).
-pub fn map_from_json(text: &str) -> Result<HashMap<usize, f64>, JsonError> {
-    let value = Value::parse(text)?;
-    let Value::Object(members) = value else {
-        return Err(JsonError::new("expected top-level object"));
-    };
-    members
-        .into_iter()
-        .map(|(k, v)| {
-            let key: usize = k
-                .parse()
-                .map_err(|_| JsonError::new(format!("non-integer key {k:?}")))?;
-            Ok((key, v.as_f64()?))
-        })
-        .collect()
 }
 
 fn write_value(value: &Value, out: &mut String) {
@@ -463,24 +431,5 @@ mod tests {
         let s = "quote \" backslash \\ newline \n tab \t control \u{1}";
         let text = Value::Str(s.to_string()).to_json();
         assert_eq!(Value::parse(&text).unwrap().as_str().unwrap(), s);
-    }
-
-    #[test]
-    fn cache_map_round_trips() {
-        let mut map = HashMap::new();
-        map.insert(17usize, 1.25);
-        map.insert(3usize, 0.1 + 0.2);
-        map.insert(23_039usize, 0.875);
-        let text = map_to_json(&map);
-        let back = map_from_json(&text).unwrap();
-        assert_eq!(back, map);
-        // Keys are sorted for stable artifacts.
-        assert!(text.find("\"3\"").unwrap() < text.find("\"17\"").unwrap());
-    }
-
-    #[test]
-    fn map_from_json_rejects_bad_keys() {
-        assert!(map_from_json("{\"x\": 1}").is_err());
-        assert!(map_from_json("[1]").is_err());
     }
 }

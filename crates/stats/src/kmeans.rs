@@ -173,7 +173,7 @@ fn plus_plus_init(points: &[Vec<f64>], k: usize, rng: &mut Xoshiro256) -> Vec<Ve
 /// Bayesian Information Criterion score of a clustering (higher is better).
 ///
 /// Uses the spherical-Gaussian formulation from Pelleg & Moore (X-means),
-/// the same criterion SimPoint uses to select its cluster count.
+/// the same score SimPoint uses to select its cluster count.
 pub fn bic_score(points: &[Vec<f64>], clustering: &Clustering) -> f64 {
     let n = points.len() as f64;
     let k = clustering.k() as f64;
